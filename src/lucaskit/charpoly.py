@@ -122,7 +122,7 @@ def fibonacci_factorization(n: int) -> tuple[Poly, Poly, int]:
     quad = quadratic_factor(FIBONACCI, n)
     tail = phi_product(FIBONACCI, n - 2).compose_negate()
     product = quad * tail
-    signs = [s for s in (1, -1) if product * s == phi]
+    signs = [s for s, signed in ((1, product), (-1, -product)) if signed == phi]
     if len(signs) != 1:
         raise FactorizationSignError(f"{len(signs)} signs satisfy the factorization at n={n}")
     return quad, tail, signs[0]

@@ -11,7 +11,8 @@ Values are exact end to end: rationals are accepted as integers or "a/b"
 and decimal floats are rejected. Output is deterministic byte for byte;
 --timestamps adds run metadata outside the data records. Exit codes:
 0 success / all checks pass, 1 identity counterexample found, 2 usage or
-input error.
+input error, 3 internal inconsistency (two exact constructions disagree,
+or an arithmetic error escaped a computation).
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import csv
 import io
 import json
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from typing import Callable
 
 from .binomials import gaussian_binomial, gaussian_cyclotomic_factorization, generalized_binomial
 from .charpoly import fibonacci_factorization, phi_coeff_formula, phi_product, quadratic_factor
@@ -129,13 +132,12 @@ class _Options:
         raw = self.cfg.pop(key, None)
         return _parse_bool(raw, key) if raw is not None else False
 
-    def format(self) -> str:
-        fmt = self.value("format", "plain")
-        if fmt not in FORMATS:
-            raise UsageError(f"--format must be one of {', '.join(FORMATS)}, got {fmt!r}")
-        return fmt
-
     def finish(self) -> None:
+        """Read the output flags and refuse leftover config keys, before any work starts."""
+        self.fmt = self.value("format", "plain")
+        if self.fmt not in FORMATS:
+            raise UsageError(f"--format must be one of {', '.join(FORMATS)}, got {self.fmt!r}")
+        self.timestamps = self.flag("timestamps")
         if self.cfg:
             raise UsageError("unknown config keys: " + ", ".join(sorted(self.cfg)))
 
@@ -143,31 +145,42 @@ class _Options:
 # -- output rendering -----------------------------------------------------------
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+@dataclass(frozen=True)
+class _Output:
+    """A handler's result: JSON params and records, plus its csv and plain layouts.
+
+    ``csv`` returns (columns, rows) and ``plain`` returns the lines; only the
+    one for the requested format is called.
+    """
+
+    params: dict
+    records: list[dict]
+    csv: Callable[[], tuple[list[str], list[dict]]]
+    plain: Callable[[], list[str]]
+    code: int = 0
 
 
-def _emit_json(command: str, params: dict, records: list[dict], timestamps: bool) -> str:
-    doc: dict = {"command": command, "params": params, "records": records}
-    if timestamps:
-        doc["meta"] = {"generated_at": _timestamp()}
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _emit_csv(columns: list[str], rows: list[dict], timestamps: bool) -> str:
-    buf = io.StringIO()
-    if timestamps:
-        buf.write(f"# generated_at: {_timestamp()}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(["" if row.get(c) is None else str(row.get(c)) for c in columns])
-    return buf.getvalue()
-
-
-def _emit_plain(lines: list[str], timestamps: bool) -> str:
-    head = [f"# generated_at: {_timestamp()}"] if timestamps else []
-    return "".join(line + "\n" for line in head + lines)
+def _emit(command: str, opts: _Options, out: _Output) -> int:
+    """Write ``out`` to stdout in the format ``opts`` asked for; return the exit code."""
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds") if opts.timestamps else None
+    prefix = f"# generated_at: {stamp}\n" if stamp else ""
+    if opts.fmt == "json":
+        doc: dict = {"command": command, "params": out.params, "records": out.records}
+        if stamp:
+            doc["meta"] = {"generated_at": stamp}
+        text = json.dumps(doc, indent=2) + "\n"
+    elif opts.fmt == "csv":
+        columns, rows = out.csv()
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(["" if row.get(c) is None else str(row.get(c)) for c in columns])
+        text = prefix + buf.getvalue()
+    else:
+        text = prefix + "".join(line + "\n" for line in out.plain())
+    sys.stdout.write(text)
+    return out.code
 
 
 def _coeff_strings(poly: Poly) -> list[str]:
@@ -177,46 +190,36 @@ def _coeff_strings(poly: Poly) -> list[str]:
 # -- subcommand handlers ----------------------------------------------------------
 
 
-def _cmd_seq(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def _cmd_seq(opts: _Options) -> _Output:
     p = _parse_rational(opts.require("p", "-p"), "-p")
     q = _parse_rational(opts.require("q", "-q"), "-q")
     n_max = _parse_int(opts.require("n", "-n"), "-n", minimum=0)
-    fmt = opts.format()
-    timestamps = opts.flag("timestamps")
     opts.finish()
 
     table = SequenceTable(RecurrenceParams(p, q))
     records = [{"n": i, "u": str(table.u(i)), "w": str(table.w(i))} for i in range(n_max + 1)]
-    if fmt == "json":
-        out = _emit_json("seq", {"p": str(p), "q": str(q), "n_max": n_max}, records, timestamps)
-    elif fmt == "csv":
-        out = _emit_csv(["n", "u", "w"], records, timestamps)
-    else:
-        lines = ["n u w"] + [f"{r['n']} {r['u']} {r['w']}" for r in records]
-        out = _emit_plain(lines, timestamps)
-    sys.stdout.write(out)
-    return 0
+    return _Output(
+        {"p": str(p), "q": str(q), "n_max": n_max},
+        records,
+        csv=lambda: (["n", "u", "w"], records),
+        plain=lambda: ["n u w"] + [f"{r['n']} {r['u']} {r['w']}" for r in records],
+    )
 
 
-def _cmd_phi(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def _cmd_phi(opts: _Options) -> _Output:
     p = _parse_rational(opts.require("p", "-p"), "-p")
     q = _parse_rational(opts.require("q", "-q"), "-q")
     n = _parse_int(opts.require("n", "-n"), "-n", minimum=0)
     factor = opts.flag("factor")
-    fmt = opts.format()
-    timestamps = opts.flag("timestamps")
     opts.finish()
 
     params = RecurrenceParams(p, q)
     phi = phi_product(params, n)
     if phi != phi_coeff_formula(params, n):
-        sys.stderr.write(
-            "error: root-product and coefficient-formula constructions disagree "
-            f"at p={p}, q={q}, n={n}\n"
+        raise ArithmeticError(
+            "root-product and coefficient-formula constructions disagree "
+            f"at p={p}, q={q}, n={n}"
         )
-        return 2
 
     record: dict = {"n": n, "coefficients": _coeff_strings(phi)}
     if factor and n >= 1:
@@ -230,60 +233,36 @@ def _cmd_phi(args: argparse.Namespace) -> int:
             "quadratic": _coeff_strings(fq),
             "reversed_tail": _coeff_strings(tail),
         }
+    # the record flattened to (label, value): a list is one csv row per index
+    parts = [(k, v) for k, v in record.items() if k not in ("n", "factorization")]
+    parts += [(f"factorization_{k}", v) for k, v in record.get("factorization", {}).items()]
 
-    if fmt == "json":
-        out = _emit_json(
-            "phi", {"p": str(p), "q": str(q), "n": n, "factor": factor}, [record], timestamps
-        )
-    elif fmt == "csv":
-        rows = [{"part": "phi", "index": i, "value": c} for i, c in enumerate(record["coefficients"])]
-        if "quadratic_factor" in record:
-            rows += [
-                {"part": "quadratic_factor", "index": i, "value": c}
-                for i, c in enumerate(record["quadratic_factor"])
-            ]
-            rows.append(
-                {
-                    "part": "quadratic_divides",
-                    "index": None,
-                    "value": str(record["quadratic_divides"]).lower(),
-                }
-            )
-        if "factorization" in record:
-            fac = record["factorization"]
-            rows.append({"part": "factorization_sign", "index": None, "value": fac["sign"]})
-            rows += [
-                {"part": "factorization_quadratic", "index": i, "value": c}
-                for i, c in enumerate(fac["quadratic"])
-            ]
-            rows += [
-                {"part": "factorization_reversed_tail", "index": i, "value": c}
-                for i, c in enumerate(fac["reversed_tail"])
-            ]
-        out = _emit_csv(["part", "index", "value"], rows, timestamps)
-    else:
-        lines = ["coefficients: " + " ".join(record["coefficients"])]
-        if "quadratic_factor" in record:
-            lines.append("quadratic_factor: " + " ".join(record["quadratic_factor"]))
-            lines.append(f"quadratic_divides: {str(record['quadratic_divides']).lower()}")
-        if "factorization" in record:
-            fac = record["factorization"]
-            lines.append(f"factorization_sign: {fac['sign']}")
-            lines.append("factorization_quadratic: " + " ".join(fac["quadratic"]))
-            lines.append("factorization_reversed_tail: " + " ".join(fac["reversed_tail"]))
-        out = _emit_plain(lines, timestamps)
-    sys.stdout.write(out)
-    return 0
+    def csv_rows() -> tuple[list[str], list[dict]]:
+        rows: list[dict] = []
+        for label, value in parts:
+            part = "phi" if label == "coefficients" else label
+            if isinstance(value, list):
+                rows += [{"part": part, "index": i, "value": c} for i, c in enumerate(value)]
+            else:
+                rows.append({"part": part, "index": None, "value": str(value).lower()})
+        return ["part", "index", "value"], rows
+
+    return _Output(
+        {"p": str(p), "q": str(q), "n": n, "factor": factor},
+        [record],
+        csv=csv_rows,
+        plain=lambda: [
+            f"{label}: " + (" ".join(value) if isinstance(value, list) else str(value).lower())
+            for label, value in parts
+        ],
+    )
 
 
-def _cmd_binom(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def _cmd_binom(opts: _Options) -> _Output:
     p = _parse_rational(opts.require("p", "-p"), "-p")
     q = _parse_rational(opts.require("q", "-q"), "-q")
     r = _parse_int(opts.require("r", "-r"), "-r", minimum=0)
     k = _parse_int(opts.require("k", "-k"), "-k")
-    fmt = opts.format()
-    timestamps = opts.flag("timestamps")
     opts.finish()
 
     try:
@@ -291,24 +270,18 @@ def _cmd_binom(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     record = {"r": r, "k": k, "value": str(value)}
-    if fmt == "json":
-        out = _emit_json("binom", {"p": str(p), "q": str(q), "r": r, "k": k}, [record], timestamps)
-    elif fmt == "csv":
-        row = {"p": str(p), "q": str(q), **record}
-        out = _emit_csv(["p", "q", "r", "k", "value"], [row], timestamps)
-    else:
-        out = _emit_plain([str(value)], timestamps)
-    sys.stdout.write(out)
-    return 0
+    return _Output(
+        {"p": str(p), "q": str(q), "r": r, "k": k},
+        [record],
+        csv=lambda: (["p", "q", "r", "k", "value"], [{"p": str(p), "q": str(q), **record}]),
+        plain=lambda: [str(value)],
+    )
 
 
-def _cmd_gauss(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def _cmd_gauss(opts: _Options) -> _Output:
     m = _parse_int(opts.require("m", "-m"), "-m", minimum=0)
     k = _parse_int(opts.require("k", "-k"), "-k")
     cyclotomic = opts.flag("cyclotomic")
-    fmt = opts.format()
-    timestamps = opts.flag("timestamps")
     opts.finish()
 
     try:
@@ -319,23 +292,27 @@ def _cmd_gauss(args: argparse.Namespace) -> int:
     record: dict = {"m": m, "k": k, "coefficients": _coeff_strings(poly)}
     if factors is not None:
         record["cyclotomic_factors"] = [list(pair) for pair in factors]
-    if fmt == "json":
-        out = _emit_json("gauss", {"m": m, "k": k, "cyclotomic": cyclotomic}, [record], timestamps)
-    elif fmt == "csv":
+
+    def csv_rows() -> tuple[list[str], list[dict]]:
         rows = [
             {"kind": "coefficient", "index": i, "value": c}
             for i, c in enumerate(record["coefficients"])
         ]
-        if factors is not None:
-            rows += [{"kind": "cyclotomic_exponent", "index": d, "value": e} for d, e in factors]
-        out = _emit_csv(["kind", "index", "value"], rows, timestamps)
-    else:
+        rows += [{"kind": "cyclotomic_exponent", "index": d, "value": e} for d, e in factors or ()]
+        return ["kind", "index", "value"], rows
+
+    def plain_lines() -> list[str]:
         lines = ["coefficients: " + " ".join(record["coefficients"])]
         if factors is not None:
             lines.append("cyclotomic_factors: " + " ".join(f"{d}:{e}" for d, e in factors))
-        out = _emit_plain(lines, timestamps)
-    sys.stdout.write(out)
-    return 0
+        return lines
+
+    return _Output({"m": m, "k": k, "cyclotomic": cyclotomic}, [record], csv_rows, plain_lines)
+
+
+def _counterexample_text(ce: dict) -> str:
+    where = " ".join(f"{k}={v}" for k, v in ce["indices"].items())
+    return f"{where} lhs={ce['lhs']} rhs={ce['rhs']}"
 
 
 def _plain_report_line(rec: dict) -> str:
@@ -349,16 +326,19 @@ def _plain_report_line(rec: dict) -> str:
         bits.append(f"a=0..{rec['a_max']}")
     bits += [rec["status"], f"checked={rec['checked']}", f"skipped={rec['skipped']}"]
     if rec["counterexample"] is not None:
-        ce = rec["counterexample"]
-        where = " ".join(f"{k}={v}" for k, v in ce["indices"].items())
-        bits.append(f"counterexample[{where} lhs={ce['lhs']} rhs={ce['rhs']}]")
+        bits.append(f"counterexample[{_counterexample_text(rec['counterexample'])}]")
     if rec["note"]:
         bits.append(f"note[{rec['note']}]")
     return " ".join(bits)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+_VERIFY_COLUMNS = [
+    "identity", "p", "q", "n_min", "n_max", "a_max",
+    "status", "checked", "skipped", "counterexample", "note",
+]
+
+
+def _cmd_verify(opts: _Options) -> _Output:
     p_range = _parse_range(opts.value("p_range", "1:1"), "--p-range")
     q_range = _parse_range(opts.value("q_range", "-1:-1"), "--q-range")
     n_max = _parse_int(opts.value("n_max", "50"), "--n-max", minimum=1)
@@ -366,8 +346,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     step = _parse_rational(opts.value("step", "1"), "--step")
     ids_text = opts.value("identities")
     strict = opts.flag("strict_diagnostics")
-    fmt = opts.format()
-    timestamps = opts.flag("timestamps")
     opts.finish()
 
     if ids_text is None:
@@ -394,30 +372,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "identities": sorted(set(ids)),
         "strict_diagnostics": strict,
     }
-    if fmt == "json":
-        out = _emit_json("verify", params, records, timestamps)
-    elif fmt == "csv":
-        columns = [
-            "identity", "p", "q", "n_min", "n_max", "a_max",
-            "status", "checked", "skipped", "counterexample", "note",
-        ]
-        rows = []
-        for rec in records:
-            row = dict(rec)
-            ce = rec["counterexample"]
-            if ce is not None:
-                where = " ".join(f"{k}={v}" for k, v in ce["indices"].items())
-                row["counterexample"] = f"{where} lhs={ce['lhs']} rhs={ce['rhs']}"
-            rows.append(row)
-        out = _emit_csv(columns, rows, timestamps)
-    else:
-        out = _emit_plain([_plain_report_line(rec) for rec in records], timestamps)
-    sys.stdout.write(out)
-
-    for report in reports:
-        if report.status == "fail" and (strict or not REGISTRY[report.identity_id].diagnostic):
-            return 1
-    return 0
+    failed = any(
+        report.status == "fail" and (strict or not REGISTRY[report.identity_id].diagnostic)
+        for report in reports
+    )
+    return _Output(
+        params,
+        records,
+        csv=lambda: (_VERIFY_COLUMNS, [
+            {**rec, "counterexample": _counterexample_text(rec["counterexample"])}
+            if rec["counterexample"] is not None else rec
+            for rec in records
+        ]),
+        plain=lambda: [_plain_report_line(rec) for rec in records],
+        code=1 if failed else 0,
+    )
 
 
 # -- parser assembly ---------------------------------------------------------------
@@ -517,10 +486,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _HANDLERS[args.command](args)
-    except UsageError as exc:
+        opts = _Options(args)
+        return _emit(args.command, opts, _HANDLERS[args.command](opts))
+    except (UsageError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return 2 if isinstance(exc, UsageError) else 3
 
 
 if __name__ == "__main__":

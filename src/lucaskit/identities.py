@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable
 
-from .charpoly import FactorizationSignError, fibonacci_factorization, phi_product, quadratic_factor
+# phi_product is not called here; it stays importable from this module as before.
+from .charpoly import FactorizationSignError, fibonacci_factorization, phi_product  # noqa: F401
 from .numeric import as_fraction, is_rational_square
 from .sequences import (
     FIBONACCI,
@@ -141,13 +143,86 @@ class GridSpec:
         return self._values(*self.q_range, self.step)
 
 
+# -- identity cells -------------------------------------------------------------
+# A cell evaluates one identity at one index tuple. The sweep runner calls it
+# as cell(*indices, table[, d]); the public check_* functions wrap the same
+# cell. d = p^2 - 4q is fixed for a sweep, so it is computed once per sweep
+# and passed in rather than recomputed in every cell.
+
+
+def _eq_outcome(lhs, rhs) -> CheckOutcome:
+    if lhs == rhs:
+        return CheckOutcome(PASS, lhs, rhs)
+    return CheckOutcome(FAIL, lhs, rhs)
+
+
+def _prop34(n: int, t: SequenceTable, d: Fraction) -> CheckOutcome:
+    return _eq_outcome(t.w(n) ** 2 - 4 * t.q_power(n), t.u(n) ** 2 * d)
+
+
+def _cor36(n: int, t: SequenceTable, d: Fraction) -> CheckOutcome:
+    qn = t.q_power(n)
+    w2n = t.w(2 * n)
+    step = _eq_outcome(t.w(n) ** 2, w2n + 2 * qn)
+    if step.status == FAIL:
+        return step
+    return _eq_outcome(w2n - 2 * qn, t.u(n) ** 2 * d)
+
+
+def _eq35(n: int, t: SequenceTable) -> CheckOutcome:
+    z = check_eq35_shape(t.params, n, t)
+    expected = abs(t.u(n))
+    if z is None:
+        return CheckOutcome(FAIL, "no rational solution", expected)
+    return _eq_outcome(z, expected)
+
+
+def _cor35(n: int, t: SequenceTable) -> CheckOutcome:
+    x, y, z = pythagorean_like(t.params.p, n, t)
+    first = _eq_outcome(x * x + y * y - z * z, Fraction(4))
+    if first.status == FAIL:
+        return first
+    return _eq_outcome(t.params.p * y, 2 * z)
+
+
+def _eq22(n: int, t: SequenceTable) -> CheckOutcome:
+    try:
+        a_n = check_eq22(n, t)
+    except ArithmeticError:
+        return CheckOutcome(FAIL, "not five times a square", t.u(n))
+    return _eq_outcome(Fraction(a_n), t.u(n))
+
+
+def _eq21(n: int, t: SequenceTable) -> CheckOutcome:
+    try:
+        _, _, sign = fibonacci_factorization(n)
+    except FactorizationSignError:
+        return CheckOutcome(FAIL, "no exact sign", (-1) ** (n - 1))
+    return _eq_outcome(sign, (-1) ** (n - 1))
+
+
+def _eq21_paper_sign(n: int, t: SequenceTable) -> CheckOutcome:
+    printed = (-1) ** n
+    if _eq21(n, t).lhs == printed:
+        return CheckOutcome(PASS, printed, printed)
+    return CheckOutcome(FAIL, f"sign {printed} inexact", f"sign {-printed} exact")
+
+
+def _ratio_check(num: Fraction, den: Fraction) -> CheckOutcome:
+    if den == 0:
+        return CheckOutcome(SKIPPED, reason="zero denominator")
+    if num == 5 * den:
+        return CheckOutcome(PASS, lhs=Fraction(5), rhs=Fraction(5))
+    return CheckOutcome(FAIL, lhs=num / den, rhs=Fraction(5))
+
+
 # -- single-instance checks -------------------------------------------------
 
 
 def check_prop34(params: RecurrenceParams, n: int, table: SequenceTable | None = None) -> bool:
     """w_n^2 - 4 q^n == u_n^2 (p^2 - 4q), exactly."""
     t = table if table is not None else SequenceTable(params)
-    return t.w(n) ** 2 - 4 * t.q_power(n) == t.u(n) ** 2 * params.discriminant
+    return _prop34(n, t, params.discriminant).status == PASS
 
 
 def check_eq35_shape(
@@ -170,17 +245,13 @@ def check_eq35_shape(
 def check_cor36(params: RecurrenceParams, n: int, table: SequenceTable | None = None) -> bool:
     """w_{2n} - 2 q^n == u_n^2 (p^2 - 4q), plus the step w_n^2 == w_{2n} + 2 q^n."""
     t = table if table is not None else SequenceTable(params)
-    qn = t.q_power(n)
-    w2n = t.w(2 * n)
-    if t.w(n) ** 2 != w2n + 2 * qn:
-        return False
-    return w2n - 2 * qn == t.u(n) ** 2 * params.discriminant
+    return _cor36(n, t, params.discriminant).status == PASS
 
 
 def check_eq24(n: int, table: SequenceTable | None = None) -> bool:
-    """L_n^2 - 4 (-1)^n == 5 F_n^2."""
+    """L_n^2 - 4 (-1)^n == 5 F_n^2: prop34 at p = 1, q = -1."""
     t = table if table is not None else SequenceTable(FIBONACCI)
-    return t.w(n) ** 2 - 4 * t.q_power(n) == 5 * t.u(n) ** 2
+    return _prop34(n, t, FIBONACCI.discriminant).status == PASS
 
 
 def check_eq22(n: int, table: SequenceTable | None = None) -> int:
@@ -197,21 +268,13 @@ def check_eq22(n: int, table: SequenceTable | None = None) -> int:
     return int(root)
 
 
-def _ratio_check(num: Fraction, den: Fraction, reason: str) -> CheckOutcome:
-    if den == 0:
-        return CheckOutcome(SKIPPED, reason=reason)
-    if num == 5 * den:
-        return CheckOutcome(PASS, lhs=Fraction(5), rhs=Fraction(5))
-    return CheckOutcome(FAIL, lhs=num / den, rhs=Fraction(5))
-
-
 def check_eq25_freitag(n: int, a: int, table: SequenceTable | None = None) -> CheckOutcome:
     """(L_n^2 - (-1)^a L_{n+a}^2) / (F_n^2 - (-1)^a F_{n+a}^2) == 5."""
     t = table if table is not None else SequenceTable(FIBONACCI)
     s = -1 if a % 2 else 1
     num = t.w(n) ** 2 - s * t.w(n + a) ** 2
     den = t.u(n) ** 2 - s * t.u(n + a) ** 2
-    return _ratio_check(num, den, "zero denominator")
+    return _ratio_check(num, den)
 
 
 def check_eq25_freitag_paper_form(
@@ -222,7 +285,7 @@ def check_eq25_freitag_paper_form(
     s = -1 if a % 2 else 1
     num = t.w(n) ** 2 - s * t.w(n + a) ** 2
     den = t.u(n) - s * t.u(n + a) ** 2
-    return _ratio_check(num, den, "zero denominator")
+    return _ratio_check(num, den)
 
 
 def check_eq25_zeitlin(n: int, a: int, table: SequenceTable | None = None) -> CheckOutcome:
@@ -230,7 +293,7 @@ def check_eq25_zeitlin(n: int, a: int, table: SequenceTable | None = None) -> Ch
     t = table if table is not None else SequenceTable(FIBONACCI)
     num = t.w(n) ** 2 + t.w(n + 2 * a) ** 2 - 8 * t.q_power(n)
     den = t.u(n) ** 2 + t.u(n + 2 * a) ** 2
-    return _ratio_check(num, den, "zero denominator")
+    return _ratio_check(num, den)
 
 
 def check_eq25_zeitlin_paper_sign(
@@ -240,7 +303,7 @@ def check_eq25_zeitlin_paper_sign(
     t = table if table is not None else SequenceTable(FIBONACCI)
     num = t.w(n) ** 2 + t.w(n + 2 * a) ** 2 + 8 * t.q_power(n)
     den = t.u(n) ** 2 + t.u(n + 2 * a) ** 2
-    return _ratio_check(num, den, "zero denominator")
+    return _ratio_check(num, den)
 
 
 def pythagorean_like(p, n: int, table: SequenceTable | None = None):
@@ -251,202 +314,7 @@ def pythagorean_like(p, n: int, table: SequenceTable | None = None):
     return t.w(n), 2 * t.u(n), t.params.p * t.u(n)
 
 
-# -- sweep runners -----------------------------------------------------------
-
-
-def _sweep_n(
-    identity_id: str,
-    params: RecurrenceParams | None,
-    n_indices: Iterable[int],
-    n_range: tuple[int, int],
-    evaluate: Callable[[int], CheckOutcome],
-    note: str = "",
-) -> IdentityReport:
-    checked = skipped = 0
-    ce = None
-    for n in n_indices:
-        out = evaluate(n)
-        if out.status == SKIPPED:
-            skipped += 1
-            continue
-        checked += 1
-        if out.status == FAIL and ce is None:
-            ce = Counterexample((("n", n),), out.lhs, out.rhs)
-    if ce is not None:
-        status = FAIL
-    elif checked == 0:
-        status = SKIPPED
-        note = note or "no checkable indices in range"
-    else:
-        status = PASS
-    return IdentityReport(identity_id, params, n_range, None, status, ce, note, checked, skipped)
-
-
-def _sweep_n_a(
-    identity_id: str,
-    params: RecurrenceParams | None,
-    n_max: int,
-    a_max: int,
-    evaluate: Callable[[int, int], CheckOutcome],
-    note: str = "",
-) -> IdentityReport:
-    checked = skipped = 0
-    ce = None
-    for n in range(n_max + 1):
-        for a in range(a_max + 1):
-            out = evaluate(n, a)
-            if out.status == SKIPPED:
-                skipped += 1
-                continue
-            checked += 1
-            if out.status == FAIL and ce is None:
-                ce = Counterexample((("n", n), ("a", a)), out.lhs, out.rhs)
-    if ce is not None:
-        status = FAIL
-    elif checked == 0:
-        status = SKIPPED
-        note = note or "every index pair had a zero denominator"
-    else:
-        status = PASS
-    return IdentityReport(
-        identity_id, params, (0, n_max), (0, a_max), status, ce, note, checked, skipped
-    )
-
-
-def _eq_outcome(lhs, rhs) -> CheckOutcome:
-    if lhs == rhs:
-        return CheckOutcome(PASS, lhs, rhs)
-    return CheckOutcome(FAIL, lhs, rhs)
-
-
-def _run_prop34(grid: GridSpec, params: RecurrenceParams) -> IdentityReport:
-    t = SequenceTable(params)
-    d = params.discriminant
-
-    def cell(n: int) -> CheckOutcome:
-        return _eq_outcome(t.w(n) ** 2 - 4 * t.q_power(n), t.u(n) ** 2 * d)
-
-    return _sweep_n("prop34", params, range(grid.n_max + 1), (0, grid.n_max), cell)
-
-
-def _run_eq35(grid: GridSpec, params: RecurrenceParams) -> IdentityReport:
-    if params.is_degenerate:
-        return IdentityReport(
-            "eq35", params, (0, grid.n_max), None, SKIPPED, note="discriminant is zero"
-        )
-    t = SequenceTable(params)
-
-    def cell(n: int) -> CheckOutcome:
-        z = check_eq35_shape(params, n, t)
-        expected = abs(t.u(n))
-        if z is None:
-            return CheckOutcome(FAIL, "no rational solution", expected)
-        return _eq_outcome(z, expected)
-
-    return _sweep_n("eq35", params, range(grid.n_max + 1), (0, grid.n_max), cell)
-
-
-def _run_cor36(grid: GridSpec, params: RecurrenceParams) -> IdentityReport:
-    t = SequenceTable(params)
-    d = params.discriminant
-
-    def cell(n: int) -> CheckOutcome:
-        qn = t.q_power(n)
-        w2n = t.w(2 * n)
-        step = _eq_outcome(t.w(n) ** 2, w2n + 2 * qn)
-        if step.status == FAIL:
-            return step
-        return _eq_outcome(w2n - 2 * qn, t.u(n) ** 2 * d)
-
-    return _sweep_n("cor36", params, range(grid.n_max + 1), (0, grid.n_max), cell)
-
-
-def _run_cor35(grid: GridSpec, params: RecurrenceParams) -> IdentityReport:
-    if params.q != 1:
-        return IdentityReport(
-            "cor35", params, (1, grid.n_max), None, SKIPPED, note="requires q = 1"
-        )
-    t = SequenceTable(params)
-
-    def cell(n: int) -> CheckOutcome:
-        x, y, z = pythagorean_like(params.p, n, t)
-        first = _eq_outcome(x * x + y * y - z * z, Fraction(4))
-        if first.status == FAIL:
-            return first
-        return _eq_outcome(params.p * y, 2 * z)
-
-    return _sweep_n("cor35", params, range(1, grid.n_max + 1), (1, grid.n_max), cell)
-
-
-def _run_eq24(grid: GridSpec, _: RecurrenceParams | None) -> IdentityReport:
-    t = SequenceTable(FIBONACCI)
-
-    def cell(n: int) -> CheckOutcome:
-        return _eq_outcome(t.w(n) ** 2 - 4 * t.q_power(n), 5 * t.u(n) ** 2)
-
-    return _sweep_n(
-        "eq24", FIBONACCI, range(grid.n_max + 1), (0, grid.n_max), cell, "fixed p=1, q=-1"
-    )
-
-
-def _run_eq22(grid: GridSpec, _: RecurrenceParams | None) -> IdentityReport:
-    t = SequenceTable(FIBONACCI)
-
-    def cell(n: int) -> CheckOutcome:
-        try:
-            a_n = check_eq22(n, t)
-        except ArithmeticError:
-            return CheckOutcome(FAIL, "not five times a square", t.u(n))
-        return _eq_outcome(Fraction(a_n), t.u(n))
-
-    return _sweep_n(
-        "eq22", FIBONACCI, range(grid.n_max + 1), (0, grid.n_max), cell, "fixed p=1, q=-1"
-    )
-
-
-def _run_eq21(grid: GridSpec, _: RecurrenceParams | None) -> IdentityReport:
-    note = "fixed p=1, q=-1; printed sign (-1)^n is wrong, verified sign (-1)^(n-1)"
-
-    def cell(n: int) -> CheckOutcome:
-        try:
-            _, _, sign = fibonacci_factorization(n)
-        except FactorizationSignError:
-            return CheckOutcome(FAIL, "no exact sign", (-1) ** (n - 1))
-        return _eq_outcome(sign, (-1) ** (n - 1))
-
-    return _sweep_n("eq21", FIBONACCI, range(2, grid.n_max + 1), (2, grid.n_max), cell, note)
-
-
-def _run_eq21_paper_sign(grid: GridSpec, _: RecurrenceParams | None) -> IdentityReport:
-    note = "diagnostic: printed sign (-1)^n instead of (-1)^(n-1)"
-
-    def cell(n: int) -> CheckOutcome:
-        phi = phi_product(FIBONACCI, n)
-        quad = quadratic_factor(FIBONACCI, n)
-        tail = phi_product(FIBONACCI, n - 2).compose_negate()
-        printed = (-1) ** n
-        if quad * tail * printed == phi:
-            return CheckOutcome(PASS, printed, printed)
-        return CheckOutcome(FAIL, f"sign {printed} inexact", f"sign {-printed} exact")
-
-    return _sweep_n(
-        "eq21_paper_sign", FIBONACCI, range(2, grid.n_max + 1), (2, grid.n_max), cell, note
-    )
-
-
-def _fib_pair_runner(identity_id: str, check, note: str):
-    def run(grid: GridSpec, _: RecurrenceParams | None) -> IdentityReport:
-        t = SequenceTable(FIBONACCI)
-        return _sweep_n_a(
-            identity_id,
-            FIBONACCI,
-            grid.n_max,
-            grid.a_max,
-            lambda n, a: check(n, a, t),
-            note,
-        )
-
-    return run
+# -- the sweep -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -458,55 +326,105 @@ class IdentityDescriptor:
     runner: Callable[[GridSpec, RecurrenceParams | None], IdentityReport]
 
 
+def _identity(
+    identity_id: str,
+    summary: str,
+    check: Callable[..., CheckOutcome],
+    *,
+    diagnostic: bool = False,
+    fixed: bool = True,
+    note: str = "",
+    first: int = 0,
+    pairs: bool = False,
+    with_d: bool = False,
+    skip_reason: Callable[[RecurrenceParams], str] | None = None,
+) -> IdentityDescriptor:
+    """Describe an identity whose runner sweeps ``check`` over its index tuples.
+
+    The runner calls ``check(n, table)`` for n in [first, n_max], or
+    ``check(n, a, table)`` for every a in [0, a_max] too when ``pairs``,
+    appending the discriminant when ``with_d``. It tallies every tuple in
+    order and keeps the smallest counterexample. Fixed-parameter identities
+    get params None and run at p = 1, q = -1. ``skip_reason`` returns a
+    nonempty note when the parameters rule the identity out.
+    """
+
+    def run(grid: GridSpec, params: RecurrenceParams | None) -> IdentityReport:
+        params = params if params is not None else FIBONACCI
+        n_range = (first, grid.n_max)
+        a_range = (0, grid.a_max) if pairs else None
+        reason = skip_reason(params) if skip_reason is not None else ""
+        if reason:
+            return IdentityReport(identity_id, params, n_range, a_range, SKIPPED, note=reason)
+        t = SequenceTable(params)
+        extra = (params.discriminant,) if with_d else ()
+        names = ("n", "a") if pairs else ("n",)
+        ranges = [range(first, grid.n_max + 1)] + ([range(grid.a_max + 1)] if pairs else [])
+        checked = skipped = 0
+        ce = None
+        for indices in product(*ranges):
+            out = check(*indices, t, *extra)
+            if out.status == SKIPPED:
+                skipped += 1
+                continue
+            checked += 1
+            if out.status == FAIL and ce is None:
+                ce = Counterexample(tuple(zip(names, indices)), out.lhs, out.rhs)
+        if ce is not None:
+            status = FAIL
+        elif checked == 0:
+            status = SKIPPED
+        else:
+            status = PASS
+        return IdentityReport(
+            identity_id, params, n_range, a_range, status, ce,
+            note or ("no checkable indices in range" if status == SKIPPED else ""),
+            checked, skipped,
+        )
+
+    return IdentityDescriptor(identity_id, summary, diagnostic, fixed, run)
+
+
+_FIXED = "fixed p=1, q=-1"
+
 _DESCRIPTORS = [
-    IdentityDescriptor(
-        "prop34", "w_n^2 - 4q^n = u_n^2 (p^2 - 4q)", False, False, _run_prop34
+    _identity("prop34", "w_n^2 - 4q^n = u_n^2 (p^2 - 4q)", _prop34, fixed=False, with_d=True),
+    _identity(
+        "eq35", "z^2 (p^2-4q) = w_n^2 - 4q^n solved by z = |u_n|", _eq35, fixed=False,
+        skip_reason=lambda params: "discriminant is zero" if params.is_degenerate else "",
     ),
-    IdentityDescriptor(
-        "eq35", "z^2 (p^2-4q) = w_n^2 - 4q^n solved by z = |u_n|", False, False, _run_eq35
+    _identity("cor36", "w_2n - 2q^n = u_n^2 (p^2 - 4q)", _cor36, fixed=False, with_d=True),
+    _identity(
+        "cor35", "q=1 triple (w_n, 2u_n, p u_n): x^2+y^2-z^2 = 4, py = 2z", _cor35, fixed=False,
+        first=1, skip_reason=lambda params: "" if params.q == 1 else "requires q = 1",
     ),
-    IdentityDescriptor(
-        "cor36", "w_2n - 2q^n = u_n^2 (p^2 - 4q)", False, False, _run_cor36
+    _identity("eq24", "L_n^2 - 4(-1)^n = 5 F_n^2", _prop34, note=_FIXED, with_d=True),
+    _identity("eq22", "L_n^2 - 4(-1)^n = 5 A_n^2 with A_n = F_n", _eq22, note=_FIXED),
+    _identity(
+        "eq21", "Phi_n(1,-1,x) factorization with computed sign", _eq21, first=2,
+        note="fixed p=1, q=-1; printed sign (-1)^n is wrong, verified sign (-1)^(n-1)",
     ),
-    IdentityDescriptor(
-        "cor35", "q=1 triple (w_n, 2u_n, p u_n): x^2+y^2-z^2 = 4, py = 2z", False, False, _run_cor35
+    _identity(
+        "eq21_paper_sign", "diagnostic: factorization with printed sign", _eq21_paper_sign,
+        diagnostic=True, first=2, note="diagnostic: printed sign (-1)^n instead of (-1)^(n-1)",
     ),
-    IdentityDescriptor(
-        "eq24", "L_n^2 - 4(-1)^n = 5 F_n^2", False, True, _run_eq24
+    _identity(
+        "eq25_freitag", "(L_n^2 - (-1)^a L_{n+a}^2)/(F_n^2 - (-1)^a F_{n+a}^2) = 5",
+        check_eq25_freitag, note=_FIXED, pairs=True,
     ),
-    IdentityDescriptor(
-        "eq22", "L_n^2 - 4(-1)^n = 5 A_n^2 with A_n = F_n", False, True, _run_eq22
+    _identity(
+        "eq25_freitag_paper_form", "diagnostic: printed denominator with unsquared F_n",
+        check_eq25_freitag_paper_form, diagnostic=True, pairs=True,
+        note="diagnostic: printed form F_n - (-1)^a F_{n+a}^2 in the denominator",
     ),
-    IdentityDescriptor(
-        "eq21", "Phi_n(1,-1,x) factorization with computed sign", False, True, _run_eq21
+    _identity(
+        "eq25_zeitlin", "(L_n^2 + L_{n+2a}^2 - 8(-1)^n)/(F_n^2 + F_{n+2a}^2) = 5",
+        check_eq25_zeitlin, note=_FIXED, pairs=True,
     ),
-    IdentityDescriptor(
-        "eq21_paper_sign", "diagnostic: factorization with printed sign", True, True,
-        _run_eq21_paper_sign,
-    ),
-    IdentityDescriptor(
-        "eq25_freitag", "(L_n^2 - (-1)^a L_{n+a}^2)/(F_n^2 - (-1)^a F_{n+a}^2) = 5", False, True,
-        _fib_pair_runner("eq25_freitag", check_eq25_freitag, "fixed p=1, q=-1"),
-    ),
-    IdentityDescriptor(
-        "eq25_freitag_paper_form", "diagnostic: printed denominator with unsquared F_n", True, True,
-        _fib_pair_runner(
-            "eq25_freitag_paper_form",
-            check_eq25_freitag_paper_form,
-            "diagnostic: printed form F_n - (-1)^a F_{n+a}^2 in the denominator",
-        ),
-    ),
-    IdentityDescriptor(
-        "eq25_zeitlin", "(L_n^2 + L_{n+2a}^2 - 8(-1)^n)/(F_n^2 + F_{n+2a}^2) = 5", False, True,
-        _fib_pair_runner("eq25_zeitlin", check_eq25_zeitlin, "fixed p=1, q=-1"),
-    ),
-    IdentityDescriptor(
-        "eq25_zeitlin_paper_sign", "diagnostic: printed +8(-1)^n numerator term", True, True,
-        _fib_pair_runner(
-            "eq25_zeitlin_paper_sign",
-            check_eq25_zeitlin_paper_sign,
-            "diagnostic: printed sign +8(-1)^n in the numerator",
-        ),
+    _identity(
+        "eq25_zeitlin_paper_sign", "diagnostic: printed +8(-1)^n numerator term",
+        check_eq25_zeitlin_paper_sign, diagnostic=True, pairs=True,
+        note="diagnostic: printed sign +8(-1)^n in the numerator",
     ),
 ]
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic in Q(sqrt(d)) for a fixed squarefree integer d.
+"""Exact arithmetic in Q(sqrt(d)) for a fixed non-square integer d.
 
 Elements are ``a + b*sqrt(d)`` with rational a, b. No real embedding is
 ever taken, so negative d works the same as positive d: everything here
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .numeric import as_fraction, squarefree_decompose
+from .numeric import as_fraction, is_rational_square
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sequences import RecurrenceParams
@@ -32,7 +32,7 @@ class IrrationalResultError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadExt:
-    """The element a + b*sqrt(d), with d a fixed squarefree integer.
+    """The element a + b*sqrt(d), with d a fixed non-square integer.
 
     >>> QuadExt(1, 1, 5) * QuadExt(1, -1, 5)
     QuadExt(a=Fraction(-4, 1), b=Fraction(0, 1), d=1)
@@ -201,17 +201,17 @@ def rational_value(x: QuadExt, what: str = "expression") -> Fraction:
 def make_roots(params: "RecurrenceParams") -> tuple[QuadExt, QuadExt]:
     """The two roots of x^2 - p x + q as exact elements of Q(sqrt(d)).
 
-    d is the squarefree part of the discriminant p^2 - 4q; sigma carries
-    the +sqrt(d) branch. A zero discriminant gives sigma == tau == p/2 and
-    a perfect-square discriminant collapses to rational roots (d == 1), so
-    callers never branch on the shape of the splitting field.
+    With the discriminant D = a/b in lowest terms and not a square, d = a*b
+    is a non-square integer with D = d / b^2, so nothing is factored; sigma
+    carries the +sqrt(d) branch. A zero discriminant gives sigma == tau ==
+    p/2 and a perfect-square discriminant collapses to rational roots
+    (d == 1), so callers never branch on the shape of the splitting field.
     """
     disc = params.discriminant
-    if disc == 0:
-        half = params.p / 2
-        root = QuadExt(half, Fraction(0), 1)
-        return root, root
-    dec = squarefree_decompose(disc)
     half_p = params.p / 2
-    half_s = dec.s / 2
-    return QuadExt(half_p, half_s, dec.d), QuadExt(half_p, -half_s, dec.d)
+    root = is_rational_square(disc)
+    if root is not None:
+        half_s, d = root / 2, 1
+    else:
+        half_s, d = Fraction(1, 2 * disc.denominator), disc.numerator * disc.denominator
+    return QuadExt(half_p, half_s, d), QuadExt(half_p, -half_s, d)

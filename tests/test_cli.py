@@ -3,6 +3,7 @@ import json
 import pytest
 
 from lucaskit.cli import main
+from lucaskit.poly import Poly
 
 
 def run(capsys, *argv):
@@ -100,6 +101,29 @@ def test_phi_factor_json(capsys):
     assert record["quadratic_factor"] == ["1", "-3", "1"]
     assert record["quadratic_divides"] is True
     assert record["factorization"]["sign"] == -1
+
+
+def test_phi_large_prime_discriminant(capsys):
+    # p^2 - 12 is past the trial-division bound; building the roots must not factor it
+    code, out, err = run(capsys, "phi", "-p", "100000000000000000039", "-q", "3", "-n", "1")
+    assert (code, out, err) == (0, "coefficients: 3 -100000000000000000039 1\n", "")
+
+
+def _wrong_formula(params, n):
+    return Poly([1, 1])
+
+
+def _raising_formula(params, n):
+    raise ZeroDivisionError("division by zero")
+
+
+@pytest.mark.parametrize("formula", [_wrong_formula, _raising_formula])
+def test_internal_inconsistency_exits_3(monkeypatch, capsys, formula):
+    monkeypatch.setattr("lucaskit.cli.phi_coeff_formula", formula)
+    code, out, err = run(capsys, "phi", "-p", "1", "-q", "-1", "-n", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_binom(capsys):
