@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable
 
-# phi_product is not called here; it stays importable from this module as before.
+# phi_product is not called here; perfbench/selftest.py checks its alias in this module.
 from .charpoly import FactorizationSignError, fibonacci_factorization, phi_product  # noqa: F401
 from .numeric import as_fraction, is_rational_square
 from .sequences import (
