@@ -2,10 +2,12 @@
 
 Phi_n(p, q, x) is defined as the monic degree-(n+1) product over the root
 multiset {sigma^j tau^(n-j)}: it annihilates the n-th powers of every
-solution of X_r = p X_{r-1} - q X_{r-2}. Everything else here is checked
-against that product: the closed coefficient formula through generalized
-binomials, the quadratic factor x^2 - w_n x + q^n, and the Fibonacci
-factorization whose sign is computed rather than assumed.
+solution of X_r = p X_{r-1} - q X_{r-2}. Conjugation pairs sigma^j tau^(n-j)
+with sigma^(n-j) tau^j, so the product is taken over Q, one rational quadratic
+per pair; its expansion over Q(sqrt(d)) is kept only as a test oracle.
+Everything else here is checked against that product: the closed coefficient
+formula through generalized binomials, the quadratic factor x^2 - w_n x + q^n,
+and the Fibonacci factorization whose sign is computed rather than assumed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from fractions import Fraction
 from .binomials import generalized_binomial
 from .numeric import is_rational_square, squarefree_decompose
 from .poly import Poly
-from .quadfield import QuadExt, make_roots, rational_value
 from .sequences import FIBONACCI, RecurrenceParams, SequenceTable
 
 
@@ -54,29 +55,26 @@ def classify_galois(params: RecurrenceParams) -> GaloisClassification:
     return GaloisClassification(GaloisGroup.Z2, squarefree_decompose(disc).d)
 
 
-def phi_product(params: RecurrenceParams, n: int) -> Poly:
-    """Phi_n as the expanded product prod_{j=0}^{n} (x - sigma^j tau^(n-j)).
+def _conjugate_pair(table: SequenceTable, n: int, j: int) -> Poly:
+    """x^2 - q^j w_(n-2j) x + q^n: roots sigma^j tau^(n-j) and sigma^(n-j) tau^j."""
+    return Poly([table.q_power(n), -table.q_power(j) * table.w(n - 2 * j), Fraction(1)])
 
-    The root multiset is stable under conjugation, so after expanding over
-    Q(sqrt(d)) every coefficient must land back on the rational line; a
-    coefficient that does not raises immediately.
+
+def phi_product(params: RecurrenceParams, n: int) -> Poly:
+    """Phi_n as the root product prod_{j=0}^{n} (x - sigma^j tau^(n-j)), over Q.
+
+    Conjugation pairs root j with root n - j, so the product is the
+    (n+1)//2 quadratics of ``_conjugate_pair`` for j < n/2, times the
+    self-conjugate middle root (x - q^(n/2)) when n is even.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    sigma, tau = make_roots(params)
-    sig_pow = [QuadExt(Fraction(1))]
-    tau_pow = [QuadExt(Fraction(1))]
-    for _ in range(n):
-        sig_pow.append(sig_pow[-1] * sigma)
-        tau_pow.append(tau_pow[-1] * tau)
-    expanded = Poly.from_roots(sig_pow[j] * tau_pow[n - j] for j in range(n + 1))
-
-    def to_rational(c):
-        if isinstance(c, QuadExt):
-            return rational_value(c, "characteristic polynomial coefficient")
-        return Fraction(c)
-
-    return expanded.map_coeffs(to_rational)
+    table = SequenceTable(params)
+    phi = Poly([-table.q_power(n // 2), Fraction(1)] if n % 2 == 0 else [Fraction(1)])
+    for j in range((n + 1) // 2):
+        phi = phi * _conjugate_pair(table, n, j)
+    # a coefficient no product reaches (q = 0) is left as int 0
+    return phi.map_coeffs(Fraction)
 
 
 def phi_coeff_formula(params: RecurrenceParams, n: int) -> Poly:
@@ -99,13 +97,12 @@ def phi_coeff_formula(params: RecurrenceParams, n: int) -> Poly:
 def quadratic_factor(params: RecurrenceParams, n: int) -> Poly:
     """f_n(x) = x^2 - w_n x + q^n, the minimal relation of sigma^n over Q.
 
-    Whenever sigma^n != tau^n its two roots sit inside the root multiset of
-    Phi_n (at j = 0 and j = n), so f_n divides Phi_n exactly.
+    The j = 0 conjugate pair of Phi_n: whenever sigma^n != tau^n its roots
+    are two of Phi_n's roots (j = 0 and j = n), so f_n divides Phi_n exactly.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    table = SequenceTable(params)
-    return Poly([table.q_power(n), -table.w(n), Fraction(1)])
+    return _conjugate_pair(SequenceTable(params), n, 0)
 
 
 def fibonacci_factorization(n: int) -> tuple[Poly, Poly, int]:

@@ -169,8 +169,12 @@ def _cor36(n: int, t: SequenceTable, d: Fraction) -> CheckOutcome:
     return _eq_outcome(w2n - 2 * qn, t.u(n) ** 2 * d)
 
 
-def _eq35(n: int, t: SequenceTable) -> CheckOutcome:
-    z = check_eq35_shape(t.params, n, t)
+def _eq35_root(n: int, t: SequenceTable, d: Fraction) -> Fraction | None:
+    return is_rational_square((t.w(n) ** 2 - 4 * t.q_power(n)) / d)
+
+
+def _eq35(n: int, t: SequenceTable, d: Fraction) -> CheckOutcome:
+    z = _eq35_root(n, t, d)
     expected = abs(t.u(n))
     if z is None:
         return CheckOutcome(FAIL, "no rational solution", expected)
@@ -235,11 +239,10 @@ def check_eq35_shape(
     square by the w/u relation above). This route really takes the square
     root instead of copying u_n, so it is an independent confirmation.
     """
-    disc = params.discriminant
-    if disc == 0:
+    if params.is_degenerate:
         raise DegenerateDiscriminantError("z^2 * 0 = w_n^2 - 4 q^n has no unique solution")
     t = table if table is not None else SequenceTable(params)
-    return is_rational_square((t.w(n) ** 2 - 4 * t.q_power(n)) / disc)
+    return _eq35_root(n, t, params.discriminant)
 
 
 def check_cor36(params: RecurrenceParams, n: int, table: SequenceTable | None = None) -> bool:
@@ -261,8 +264,7 @@ def check_eq22(n: int, table: SequenceTable | None = None) -> int:
     the result against F_n; this function finds A_n by root extraction.
     """
     t = table if table is not None else SequenceTable(FIBONACCI)
-    fifth = (t.w(n) ** 2 - 4 * t.q_power(n)) / 5
-    root = is_rational_square(fifth)
+    root = _eq35_root(n, t, FIBONACCI.discriminant)
     if root is None or root.denominator != 1:
         raise ArithmeticError(f"L_{n}^2 - 4(-1)^{n} is not five times a perfect square")
     return int(root)
@@ -390,7 +392,7 @@ _FIXED = "fixed p=1, q=-1"
 _DESCRIPTORS = [
     _identity("prop34", "w_n^2 - 4q^n = u_n^2 (p^2 - 4q)", _prop34, fixed=False, with_d=True),
     _identity(
-        "eq35", "z^2 (p^2-4q) = w_n^2 - 4q^n solved by z = |u_n|", _eq35, fixed=False,
+        "eq35", "z^2 (p^2-4q) = w_n^2 - 4q^n solved by z = |u_n|", _eq35, fixed=False, with_d=True,
         skip_reason=lambda params: "discriminant is zero" if params.is_degenerate else "",
     ),
     _identity("cor36", "w_2n - 2q^n = u_n^2 (p^2 - 4q)", _cor36, fixed=False, with_d=True),

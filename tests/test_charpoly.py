@@ -10,7 +10,8 @@ from lucaskit.charpoly import (
     phi_product,
     quadratic_factor,
 )
-from lucaskit.quadfield import make_roots
+from lucaskit.poly import Poly
+from lucaskit.quadfield import QuadExt, make_roots, rational_value
 from lucaskit.sequences import FIBONACCI, RecurrenceParams, SequenceTable
 
 GRID = [RecurrenceParams(p, q) for p in range(-3, 4) for q in range(-3, 4)]
@@ -38,6 +39,48 @@ def test_phi_product_equals_coeff_formula():
     for params in GRID:
         for n in range(7):
             assert phi_product(params, n) == phi_coeff_formula(params, n), (params, n)
+
+
+def _root_product(params, n):
+    """Phi_n expanded over Q(sqrt(d)) from its n+1 linear factors: the oracle."""
+    sigma, tau = make_roots(params)
+    expanded = Poly.from_roots(sigma**j * tau ** (n - j) for j in range(n + 1))
+    return expanded.map_coeffs(
+        lambda c: rational_value(c, "Phi_n coefficient") if isinstance(c, QuadExt) else c
+    )
+
+
+def test_phi_product_matches_root_product_oracle():
+    # GRID holds q = 0, D = 0 (2, 1) and square D (3, 2); p = 3, q = 0, n = 8
+    # is where an unreached coefficient used to stay int 0
+    rational = [RecurrenceParams(Fraction(1, 2), Fraction(-1, 3)),
+                RecurrenceParams(Fraction(-3, 2), Fraction(2, 3))]
+    for params in GRID + rational:
+        for n in range(9):
+            phi = phi_product(params, n)
+            assert phi == _root_product(params, n), (params, n)
+            assert all(type(c) is Fraction for c in phi.coeffs), (params, n)
+
+
+def test_phi_product_op_counts(monkeypatch):
+    counts = {"quad": 0, "poly": 0}
+
+    def counting(key, mul):
+        def wrapped(self, other):
+            counts[key] += 1
+            return mul(self, other)
+        return wrapped
+
+    monkeypatch.setattr(QuadExt, "__mul__", counting("quad", QuadExt.__mul__))
+    monkeypatch.setattr(Poly, "__mul__", counting("poly", Poly.__mul__))
+    sigma, tau = make_roots(FIBONACCI)
+    assert sigma * tau == -1 and counts["quad"] == 1  # the counter is live
+    cases = [(FIBONACCI, 0), (FIBONACCI, 1), (FIBONACCI, 12), (RecurrenceParams(3, 0), 8),
+             (RecurrenceParams(2, 1), 7), (RecurrenceParams(Fraction(2, 3), Fraction(-1, 3)), 22)]
+    for params, n in cases:
+        counts.update(quad=0, poly=0)
+        phi_product(params, n)
+        assert counts == {"quad": 0, "poly": (n + 1) // 2}, (params, n)
 
 
 def test_phi_formula_base_case():
