@@ -51,8 +51,8 @@ def _root_product(params, n):
 
 
 def test_phi_product_matches_root_product_oracle():
-    # GRID holds q = 0, D = 0 (2, 1) and square D (3, 2); p = 3, q = 0, n = 8
-    # is where an unreached coefficient used to stay int 0
+    # GRID holds q = 0, D = 0 (2, 1) and square D (3, 2); at q = 0 some
+    # coefficients are reached by no product term and must still be Fractions
     rational = [RecurrenceParams(Fraction(1, 2), Fraction(-1, 3)),
                 RecurrenceParams(Fraction(-3, 2), Fraction(2, 3))]
     for params in GRID + rational:
