@@ -16,6 +16,7 @@ from .binomials import (
     gaussian_cyclotomic_factorization,
     generalized_binomial,
     generalized_binomial_quotient,
+    generalized_binomial_row,
     homogeneous_f,
 )
 from .charpoly import (
@@ -113,6 +114,7 @@ __all__ = [
     "gaussian_cyclotomic_factorization",
     "generalized_binomial",
     "generalized_binomial_quotient",
+    "generalized_binomial_row",
     "homogeneous_f",
     "is_rational_square",
     "iter_pair",

@@ -1,14 +1,23 @@
 """Gaussian binomials, cyclotomic factorizations, and (r|k)_u coefficients.
 
-The Gaussian binomial B(m, k) is built bottom-up by the q-Pascal rule
+Both binomials are built by a Pascal-type rule, one banded row walk with
+no division. The Gaussian binomial B(m, k) is an integer polynomial in z:
 
-    B(m, k) = B(m-1, k-1) + z^k B(m-1, k)
+    B(m, j) = B(m-1, j-1) + z^j B(m-1, j)
 
-which keeps every intermediate an integer polynomial with no division.
-Homogenizing B(r, k) gives the symmetric bivariate F(r, k, x, y); plugging
-in the two roots of x^2 - p x + q turns it into the generalized binomial
-coefficient (r|k)_u, a rational number that stays finite even when the
-naive quotient u_r ... u_{r-k+1} / (u_k ... u_1) hits a zero term.
+The generalized binomial (r|k)_u is a rational number, built by the
+Lucasnomial rule (Fontene, Ward; Gould)
+
+    (m|j)_u = u_{j+1} (m-1|j)_u - q u_{m-j-1} (m-1|j-1)_u
+
+on Fractions read from one ``SequenceTable``. It stays finite even when
+the naive quotient u_r ... u_{r-k+1} / (u_k ... u_1) hits a zero term.
+
+The paper defines (r|k)_u as F(r, k, sigma, tau), where F is B(r, k)
+homogenized to a symmetric bivariate polynomial and sigma, tau are the
+roots of x^2 - p x + q. ``bivariate_F`` and ``HomogeneousBiPoly`` keep
+that definition; the tests evaluate it over Q(sqrt(d)) as the oracle for
+the Pascal rule.
 """
 
 from __future__ import annotations
@@ -16,11 +25,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from operator import add
 
 from .poly import Poly
-from .quadfield import QuadExt, make_roots, rational_value
 from .sequences import RecurrenceParams, SequenceTable
+
+
+def _check_k(m: int, k: int) -> None:
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if not 0 <= k <= m:
+        raise ValueError(f"k must lie in [0, {m}], got {k}")
+
+
+def _pascal_band(r: int, k_lo: int, k_hi: int, one, cell) -> list:
+    """Entries (r, k_lo) .. (r, k_hi) of a Pascal-type triangle with ``one`` on its edges.
+
+    ``cell(m, j, left, up)`` makes the entry at (m, j), 0 < j < m, from
+    left = (m-1, j-1) and up = (m-1, j). Row m keeps only the columns
+    max(0, k_lo - (r - m)) .. min(k_hi, m), the ones row r depends on.
+    """
+    lo_prev, row = 0, [one]
+    for m in range(1, r + 1):
+        lo = max(0, k_lo - (r - m))
+        row = [one if j == 0 or j == m else cell(m, j, row[j - 1 - lo_prev], row[j - lo_prev])
+               for j in range(lo, min(k_hi, m) + 1)]
+        lo_prev = lo
+    return row
+
+
+def _q_pascal_cell(m: int, j: int, left: list, up: list) -> list:
+    """B(m-1, j-1) + z^j B(m-1, j) on ascending int coefficient lists."""
+    out = left + [0] * (j + len(up) - len(left))
+    out[j:] = map(add, out[j:], up)
+    return out
 
 
 def gaussian_binomial(m: int, k: int) -> Poly:
@@ -29,19 +67,8 @@ def gaussian_binomial(m: int, k: int) -> Poly:
     >>> gaussian_binomial(4, 2).coeffs
     [1, 1, 2, 1, 1]
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if not 0 <= k <= m:
-        raise ValueError(f"k must lie in [0, {m}], got {k}")
-    row = [Poly([1])]
-    for mi in range(1, m + 1):
-        prev = row
-        row = [Poly([1])]
-        for ki in range(1, mi):
-            shifted = Poly([0] * ki + prev[ki].coeffs)
-            row.append(prev[ki - 1] + shifted)
-        row.append(Poly([1]))
-    return row[k]
+    _check_k(m, k)
+    return Poly(_pascal_band(m, k, k, [1], _q_pascal_cell)[0])
 
 
 @lru_cache(maxsize=None)
@@ -67,10 +94,7 @@ def cyclotomic_exponent(m: int, k: int, d: int) -> int:
 
 def gaussian_cyclotomic_factorization(m: int, k: int) -> list[tuple[int, int]]:
     """The (d, e_d) pairs with e_d > 0 whose product reconstructs B(m, k)."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if not 0 <= k <= m:
-        raise ValueError(f"k must lie in [0, {m}], got {k}")
+    _check_k(m, k)
     out = []
     for d in range(2, m + 1):
         e = cyclotomic_exponent(m, k, d)
@@ -169,18 +193,35 @@ def bivariate_F(r: int, k: int) -> HomogeneousBiPoly:
     return HomogeneousBiPoly(t, tuple(b[t - i] for i in range(t + 1)))
 
 
-def generalized_binomial(params: RecurrenceParams, r: int, k: int) -> Fraction:
-    """(r|k)_u = F(r, k, sigma, tau), always a finite rational.
+def _lucasnomial_band(params: RecurrenceParams, r: int, k_lo: int, k_hi: int) -> list[Fraction]:
+    """(r|k_lo)_u .. (r|k_hi)_u by the Lucasnomial Pascal rule, over Q."""
+    table = SequenceTable(params)
+    u = [table.u(i) for i in range(r + 1)]
+    qu = [params.q * x for x in u]
+    return _pascal_band(r, k_lo, k_hi, Fraction(1),
+                        lambda m, j, left, up: u[j + 1] * up - qu[m - j - 1] * left)
 
-    This is the route that survives zero u-terms: F is a polynomial, so the
-    evaluation never divides, and symmetry in (sigma, tau) forces the value
-    onto the rational line.
+
+def generalized_binomial_row(params: RecurrenceParams, r: int) -> list[Fraction]:
+    """The row [(r|0)_u, ..., (r|r)_u], every entry a finite rational.
+
+    >>> [int(c) for c in generalized_binomial_row(RecurrenceParams(1, -1), 5)]
+    [1, 5, 15, 15, 5, 1]
     """
-    sigma, tau = make_roots(params)
-    value = bivariate_F(r, k).evaluate(sigma, tau)
-    if isinstance(value, QuadExt):
-        return rational_value(value, f"({r}|{k})_u")
-    return Fraction(value)
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    return _lucasnomial_band(params, r, 0, r)
+
+
+def generalized_binomial(params: RecurrenceParams, r: int, k: int) -> Fraction:
+    """(r|k)_u by the Lucasnomial Pascal rule, always a finite rational.
+
+    The rule only adds and multiplies, so a zero u-term never divides;
+    it equals the paper's F(r, k, sigma, tau), which the tests check.
+    Only the band of (m|j) entries that (r|k) depends on is computed.
+    """
+    _check_k(r, k)
+    return _lucasnomial_band(params, r, k, k)[0]
 
 
 def generalized_binomial_quotient(
@@ -188,8 +229,8 @@ def generalized_binomial_quotient(
 ) -> Fraction:
     """(r|k)_u as u_r u_{r-1} ... u_{r-k+1} / (u_k u_{k-1} ... u_1).
 
-    Raises ZeroDivisionError when some u_1..u_k vanishes; the polynomial
-    route above is the one that is total.
+    Raises ZeroDivisionError when some u_1..u_k vanishes; the Pascal rule
+    above is the route that is total.
     """
     if not 0 <= k <= r:
         raise ValueError(f"k must lie in [0, {r}], got {k}")

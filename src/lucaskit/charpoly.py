@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .binomials import generalized_binomial
-from .numeric import is_rational_square, squarefree_decompose
+# generalized_binomial is not called here; perfbench/selftest.py checks its alias in this module.
+from .binomials import generalized_binomial, generalized_binomial_row  # noqa: F401
+from .numeric import FactorizationIncompleteError, is_rational_square, squarefree_decompose
 from .poly import Poly
 from .sequences import FIBONACCI, RecurrenceParams, SequenceTable
 
@@ -34,7 +35,13 @@ class GaloisGroup(Enum):
 
 @dataclass(frozen=True)
 class GaloisClassification:
-    """Splitting-field shape of x^2 - p x + q (and hence of every Phi_n)."""
+    """Splitting-field shape of x^2 - p x + q (and hence of every Phi_n).
+
+    For Z2, ``d`` is the squarefree radicand of D = p^2 - 4q when trial
+    division up to ``numeric.DEFAULT_FACTOR_BOUND`` certifies it; past that
+    bound it is the unreduced radicand num(D) * den(D), which carries D's
+    sign and generates the same field. Otherwise ``d`` is 1.
+    """
 
     variant: GaloisGroup
     d: int
@@ -46,13 +53,20 @@ class GaloisClassification:
 
 
 def classify_galois(params: RecurrenceParams) -> GaloisClassification:
-    """Degenerate when D = 0, Trivial when D is a nonzero square, else Z2."""
+    """Degenerate when D = 0, Trivial when D is a nonzero square, else Z2.
+
+    The verdict needs no factoring; only the reported radicand does.
+    """
     disc = params.discriminant
     if disc == 0:
         return GaloisClassification(GaloisGroup.DEGENERATE, 1)
     if is_rational_square(disc) is not None:
         return GaloisClassification(GaloisGroup.TRIVIAL, 1)
-    return GaloisClassification(GaloisGroup.Z2, squarefree_decompose(disc).d)
+    try:
+        d = squarefree_decompose(disc).d
+    except FactorizationIncompleteError:
+        d = disc.numerator * disc.denominator
+    return GaloisClassification(GaloisGroup.Z2, d)
 
 
 def _conjugate_pair(table: SequenceTable, n: int, j: int) -> Poly:
@@ -73,8 +87,7 @@ def phi_product(params: RecurrenceParams, n: int) -> Poly:
     phi = Poly([-table.q_power(n // 2), Fraction(1)] if n % 2 == 0 else [Fraction(1)])
     for j in range((n + 1) // 2):
         phi = phi * _conjugate_pair(table, n, j)
-    # a coefficient no product reaches (q = 0) is left as int 0
-    return phi.map_coeffs(Fraction)
+    return phi
 
 
 def phi_coeff_formula(params: RecurrenceParams, n: int) -> Poly:
@@ -82,14 +95,16 @@ def phi_coeff_formula(params: RecurrenceParams, n: int) -> Poly:
 
     The coefficient of x^(n+1-i) is (-1)^i q^(i(i-1)/2) ((n+1)|i)_u for
     0 <= i <= n+1, which reproduces x^2 - p x + q at n = 1 and agrees with
-    the root product everywhere it has been swept.
+    the root product everywhere it has been swept. All n+2 binomials come
+    from one Lucasnomial row, built over Q by the Pascal rule, so this
+    route shares no code with the conjugate-pair product.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     q = params.q
     desc = []
-    for i in range(n + 2):
-        c = generalized_binomial(params, n + 1, i) * q ** (i * (i - 1) // 2)
+    for i, b in enumerate(generalized_binomial_row(params, n + 1)):
+        c = b * q ** (i * (i - 1) // 2)
         desc.append(-c if i % 2 else c)
     return Poly.from_descending(desc)
 

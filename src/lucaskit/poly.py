@@ -122,7 +122,9 @@ class Poly:
             return NotImplemented
         if not self or not o:
             return Poly()
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
+        # a coefficient no term reaches is the ring's zero, not int 0
+        zero = 0 * (self.coeffs[-1] * o.coeffs[-1])
+        out = [zero] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -156,7 +158,8 @@ class Poly:
         dq = len(rem) - len(o.coeffs)
         if dq < 0:
             return Poly(), Poly(rem)
-        quot = [0] * (dq + 1)
+        # an unreached quotient coefficient is the ring's zero, as in __mul__
+        quot = [_exact_coeff_div(0 * rem[-1], lead)] * (dq + 1)
         for k in range(dq, -1, -1):
             c = rem[k + len(o.coeffs) - 1]
             if c == 0:

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,12 @@ from lucaskit.binomials import (
     gaussian_cyclotomic_factorization,
     generalized_binomial,
     generalized_binomial_quotient,
+    generalized_binomial_row,
     homogeneous_f,
 )
+from lucaskit.charpoly import phi_coeff_formula
 from lucaskit.poly import Poly
+from lucaskit.quadfield import QuadExt, make_roots, rational_value
 from lucaskit.sequences import FIBONACCI, RecurrenceParams, SequenceTable
 
 
@@ -181,3 +185,66 @@ def test_polynomial_route_equals_quotient_route(p, q, r):
 def test_quotient_route_range_check():
     with pytest.raises(ValueError):
         generalized_binomial_quotient(FIBONACCI, 3, 5)
+
+
+def _F_at_roots(params, r, k):
+    """The paper's definition (r|k)_u = F(r, k, sigma, tau) over Q(sqrt(d)): the oracle."""
+    sigma, tau = make_roots(params)
+    value = bivariate_F(r, k).evaluate(sigma, tau)
+    if isinstance(value, QuadExt):
+        return rational_value(value, f"({r}|{k})_u")
+    return Fraction(value)
+
+
+def test_lucasnomial_row_matches_F_oracle():
+    # the grid holds the zero-term pair (1, 1) (u_3 = 0), q = 0, p = q = 0
+    # and D = 0 at (2, 1), (-2, 1), (4, 4) and (-4, 4)
+    grid = [RecurrenceParams(p, q) for p in range(-4, 5) for q in range(-4, 5)]
+    rational = [RecurrenceParams(Fraction(1, 2), Fraction(-2, 3)),
+                RecurrenceParams(Fraction(-3, 2), Fraction(2, 3))]
+    for params in grid + rational:
+        for r in range(10):
+            row = generalized_binomial_row(params, r)
+            assert len(row) == r + 1
+            for k in range(r + 1):
+                expected = _F_at_roots(params, r, k)
+                assert row[k] == expected, (params, r, k)
+                assert generalized_binomial(params, r, k) == expected, (params, r, k)
+                assert type(row[k]) is Fraction
+
+
+def test_generalized_binomial_row_range_errors():
+    with pytest.raises(ValueError):
+        generalized_binomial_row(FIBONACCI, -1)
+    with pytest.raises(ValueError, match=r"k must lie in \[0, 3\], got 7"):
+        generalized_binomial(FIBONACCI, 3, 7)
+    with pytest.raises(ValueError):
+        generalized_binomial(FIBONACCI, 3, -1)
+
+
+def test_pascal_route_op_counts(monkeypatch):
+    counts = {"quad": 0, "roots": 0}
+
+    def mul(self, other, _mul=QuadExt.__mul__):
+        counts["quad"] += 1
+        return _mul(self, other)
+
+    def roots(params, _roots=make_roots):
+        counts["roots"] += 1
+        return _roots(params)
+
+    monkeypatch.setattr(QuadExt, "__mul__", mul)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lucaskit") and getattr(module, "make_roots", None) is make_roots:
+            monkeypatch.setattr(module, "make_roots", roots)
+    sigma, tau = sys.modules["lucaskit.quadfield"].make_roots(FIBONACCI)
+    assert sigma * tau == -1 and counts == {"quad": 1, "roots": 1}  # the counters are live
+    cases = [FIBONACCI, RecurrenceParams(1, 1), RecurrenceParams(3, 0), RecurrenceParams(2, 1),
+             RecurrenceParams(Fraction(2, 3), Fraction(-1, 3))]
+    for params in cases:
+        counts.update(quad=0, roots=0)
+        for n in (0, 1, 9):
+            phi_coeff_formula(params, n)
+            for k in range(n + 1):
+                generalized_binomial(params, n, k)
+        assert counts == {"quad": 0, "roots": 0}, params

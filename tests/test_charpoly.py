@@ -162,3 +162,9 @@ def test_classify_galois():
     assert classify_galois(RecurrenceParams(Fraction(1, 2), Fraction(-1, 2))).variant is (
         GaloisGroup.TRIVIAL  # discriminant 9/4
     )
+    # D = p^2 - 12 has a cofactor past the factor bound: the verdict needs no
+    # factoring, and d is the unreduced radicand num(D) * den(D)
+    huge = classify_galois(RecurrenceParams(100000000000000000039, 3))
+    assert huge.variant is GaloisGroup.Z2 and huge.d == 100000000000000000039**2 - 12
+    rational = classify_galois(RecurrenceParams(Fraction(100000000000000000039, 2), -3))
+    assert rational.variant is GaloisGroup.Z2 and rational.d == (100000000000000000039**2 + 48) * 4

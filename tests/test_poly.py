@@ -46,6 +46,19 @@ def test_division_over_fractions_is_total():
     assert quot * Poly([Fraction(0), Fraction(2)]) + rem == num
 
 
+def test_unreached_coefficients_are_the_ring_zero():
+    f = Poly([Fraction(0), Fraction(1)])  # x with a Fraction zero constant
+    assert [type(c) for c in (f**2).coeffs] == [Fraction] * 3
+    quot, rem = divmod(Poly([Fraction(1), Fraction(0), Fraction(0), Fraction(1)]), f)
+    assert quot.coeffs == [0, 0, 1] and rem == 1
+    assert [type(c) for c in quot.coeffs] == [Fraction] * 3
+    # integer polynomials stay integer
+    g = Poly([0, 1])
+    assert [type(c) for c in (g**2).coeffs] == [int] * 3
+    quot, rem = divmod(Poly([1, 0, 0, 1]), g)
+    assert quot.coeffs == [0, 0, 1] and [type(c) for c in quot.coeffs] == [int] * 3
+
+
 def test_from_roots_and_evaluation():
     f = Poly.from_roots([1, 2, 3])
     assert f.descending() == [1, -6, 11, -6]
