@@ -1,0 +1,149 @@
+"""Sequence-layer microbenchmark: int vs Fraction recurrence, SequenceTable, fast_pair.
+
+Run from the root of a checkout:
+
+    python3 benchmarks/bench.py --side change --out BENCH_int_kernel.json
+    python3 benchmarks/bench.py --side parent --src /path/to/parent/src --out BENCH_int_kernel.json
+
+Each run imports lucaskit from ``--src`` (default: this checkout's src/)
+and records one side of the out file, keeping the sides already there, so
+two runs against two source trees give a before/after pair. Every case
+reports the median wall time of ``-k`` runs (time.perf_counter), and from
+one extra untimed run its deterministic operation counts and the largest
+operand in bits. Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import operator
+import os
+import platform
+import statistics
+import sys
+import time
+from contextlib import contextmanager
+from fractions import Fraction
+from pathlib import Path
+
+_FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+
+
+@contextmanager
+def fraction_op_counter():
+    """Count calls to Fraction's +, - and * (both operand orders) while active."""
+    counts = dict.fromkeys(_FRACTION_OPS, 0)
+    originals = {name: vars(Fraction)[name] for name in _FRACTION_OPS}
+
+    def counting(name, original):
+        def op(a, b):
+            counts[name] += 1
+            return original(a, b)
+        return op
+
+    for name, original in originals.items():
+        setattr(Fraction, name, counting(name, original))
+    try:
+        yield counts
+    finally:
+        for name, original in originals.items():
+            setattr(Fraction, name, original)
+
+
+def bits(value) -> int:
+    if isinstance(value, Fraction):
+        return max(value.numerator.bit_length(), value.denominator.bit_length())
+    if isinstance(value, int):
+        return value.bit_length()
+    return max(bits(v) for v in value)
+
+
+def recurrence(p, q, n: int, mul=operator.mul):
+    """u_n by n steps of u_{k+1} = p u_k - q u_{k-1}, on whatever p, q are."""
+    u0, u1 = type(p)(0), type(p)(1)
+    for _ in range(n):
+        u0, u1 = u1, mul(p, u1) - mul(q, u0)
+    return u0
+
+
+def cases(lk):
+    """(name, function, counted function) for every case; the counted one takes a MulCounter."""
+    seq = lk.sequences
+    R = Fraction
+
+    def params(p, q):
+        return seq.RecurrenceParams(R(p), R(q))
+
+    out = []
+    for kind, p, q in (("Fraction", R(1), R(-1)), ("int", 1, -1)):
+        out.append((f"recurrence {kind} (1, -1) n=20000",
+                    lambda p=p, q=q: recurrence(p, q, 20000),
+                    lambda c, p=p, q=q: recurrence(p, q, 20000, c.mul)))
+    # SequenceTable(params).u(n) on the seq_deep library ladder
+    for p, q, n in ((3, 2, 2500), (1, -1, 2500), (3, -3, 1500), (R(2, 3), R(-1, 3), 1500),
+                    (R(1, 2), R(-1, 3), 1500), (R(3, 2), R(-1, 2), 2500)):
+        out.append((f"SequenceTable({p}, {q}).u({n})",
+                    lambda p=p, q=q, n=n: seq.SequenceTable(params(p, q)).u(n), None))
+    # the rows 0..n that `lucaskit seq` reads, on the seq_deep table ladder
+    for p, q, n in ((3, -3, 3000), (1, -1, 3000), (R(2, 3), R(-1, 3), 1000),
+                    (R(-1, 3), R(3, 2), 1400)):
+        def rows(p=p, q=q, n=n):
+            t = seq.SequenceTable(params(p, q))
+            return [(t.u(i), t.w(i)) for i in range(n + 1)][-1]
+        out.append((f"SequenceTable({p}, {q}) rows 0..{n}", rows, None))
+    for p, q, n in ((3, -3, 100000), (1, -1, 100000), (R(2, 3), R(-1, 3), 100000),
+                    (R(1, 2), R(-1, 3), 100000), (R(3, 2), R(-1, 2), 10000)):
+        out.append((f"fast_pair({p}, {q}, {n})",
+                    lambda p=p, q=q, n=n: seq.fast_pair(params(p, q), n),
+                    lambda c, p=p, q=q, n=n: seq.fast_pair(params(p, q), n, c)))
+    return out
+
+
+def measure(lk, fn, counted, k: int) -> dict:
+    times = []
+    for _ in range(k):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    counter = lk.sequences.MulCounter()
+    with fraction_op_counter() as fraction_ops:
+        result = counted(counter) if counted is not None else fn()
+    return {
+        "median_s": statistics.median(times),
+        "runs_s": times,
+        "mul_count": counter.count if counted is not None else None,
+        "fraction_ops": sum(fraction_ops.values()),
+        "max_operand_bits": bits(result),
+    }
+
+
+def main(argv=None) -> int:
+    root = Path(__file__).resolve().parent.parent
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--side", required=True, help="name of this side, e.g. parent or change")
+    parser.add_argument("--src", default=str(root / "src"), help="directory holding lucaskit/")
+    parser.add_argument("--out", default=None, help="JSON file to merge this side into")
+    parser.add_argument("-k", type=int, default=5, help="timed runs per case (default 5)")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import lucaskit.sequences
+
+    side = {"cases": {}}
+    for name, fn, counted in cases(lucaskit):
+        side["cases"][name] = row = measure(lucaskit, fn, counted, args.k)
+        print(f"{row['median_s'] * 1000:10.2f} ms  fraction_ops={row['fraction_ops']:<7} "
+              f"bits={row['max_operand_bits']:<7} {name}")
+    if args.out:
+        path = Path(args.out)
+        doc = json.loads(path.read_text()) if path.exists() else {"sides": {}}
+        doc["machine"] = {"python": platform.python_version(), "machine": platform.machine(),
+                          "cpus": len(os.sched_getaffinity(0)), "k": args.k}
+        doc["sides"][args.side] = side
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,6 +28,9 @@ print("F_n :", *(table.u(n) for n in range(11)))
 print("L_n :", *(table.w(n) for n in range(11)))
 
 # Parameters are exact rationals, so nothing is special about integers.
+# The table still grows integers: with lam = lcm(2, 3) = 6 it runs the
+# recurrence at (6p, 36q) = (3, -12), which gives 6^(n-1) u_n, and divides
+# by 6^(n-1) when an index is first looked up.
 half = RecurrenceParams("1/2", "-1/3")
 t = SequenceTable(half)
 print("\np=1/2, q=-1/3:", [str(t.u(n)) for n in range(6)])

@@ -193,16 +193,20 @@ def bivariate_F(r: int, k: int) -> HomogeneousBiPoly:
     return HomogeneousBiPoly(t, tuple(b[t - i] for i in range(t + 1)))
 
 
-def _lucasnomial_band(params: RecurrenceParams, r: int, k_lo: int, k_hi: int) -> list[Fraction]:
+def _lucasnomial_band(
+    params: RecurrenceParams, r: int, k_lo: int, k_hi: int, table: SequenceTable | None = None
+) -> list[Fraction]:
     """(r|k_lo)_u .. (r|k_hi)_u by the Lucasnomial Pascal rule, over Q."""
-    table = SequenceTable(params)
-    u = [table.u(i) for i in range(r + 1)]
+    t = table if table is not None else SequenceTable(params)
+    u = [t.u(i) for i in range(r + 1)]
     qu = [params.q * x for x in u]
     return _pascal_band(r, k_lo, k_hi, Fraction(1),
                         lambda m, j, left, up: u[j + 1] * up - qu[m - j - 1] * left)
 
 
-def generalized_binomial_row(params: RecurrenceParams, r: int) -> list[Fraction]:
+def generalized_binomial_row(
+    params: RecurrenceParams, r: int, table: SequenceTable | None = None
+) -> list[Fraction]:
     """The row [(r|0)_u, ..., (r|r)_u], every entry a finite rational.
 
     >>> [int(c) for c in generalized_binomial_row(RecurrenceParams(1, -1), 5)]
@@ -210,7 +214,7 @@ def generalized_binomial_row(params: RecurrenceParams, r: int) -> list[Fraction]
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    return _lucasnomial_band(params, r, 0, r)
+    return _lucasnomial_band(params, r, 0, r, table)
 
 
 def generalized_binomial(params: RecurrenceParams, r: int, k: int) -> Fraction:

@@ -74,7 +74,7 @@ def _conjugate_pair(table: SequenceTable, n: int, j: int) -> Poly:
     return Poly([table.q_power(n), -table.q_power(j) * table.w(n - 2 * j), Fraction(1)])
 
 
-def phi_product(params: RecurrenceParams, n: int) -> Poly:
+def phi_product(params: RecurrenceParams, n: int, table: SequenceTable | None = None) -> Poly:
     """Phi_n as the root product prod_{j=0}^{n} (x - sigma^j tau^(n-j)), over Q.
 
     Conjugation pairs root j with root n - j, so the product is the
@@ -83,14 +83,16 @@ def phi_product(params: RecurrenceParams, n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    table = SequenceTable(params)
-    phi = Poly([-table.q_power(n // 2), Fraction(1)] if n % 2 == 0 else [Fraction(1)])
+    t = table if table is not None else SequenceTable(params)
+    phi = Poly([-t.q_power(n // 2), Fraction(1)] if n % 2 == 0 else [Fraction(1)])
     for j in range((n + 1) // 2):
-        phi = phi * _conjugate_pair(table, n, j)
+        phi = phi * _conjugate_pair(t, n, j)
     return phi
 
 
-def phi_coeff_formula(params: RecurrenceParams, n: int) -> Poly:
+def phi_coeff_formula(
+    params: RecurrenceParams, n: int, table: SequenceTable | None = None
+) -> Poly:
     """Phi_n by the closed coefficient formula, degree-consistent form.
 
     The coefficient of x^(n+1-i) is (-1)^i q^(i(i-1)/2) ((n+1)|i)_u for
@@ -103,13 +105,13 @@ def phi_coeff_formula(params: RecurrenceParams, n: int) -> Poly:
         raise ValueError("n must be nonnegative")
     q = params.q
     desc = []
-    for i, b in enumerate(generalized_binomial_row(params, n + 1)):
+    for i, b in enumerate(generalized_binomial_row(params, n + 1, table=table)):
         c = b * q ** (i * (i - 1) // 2)
         desc.append(-c if i % 2 else c)
     return Poly.from_descending(desc)
 
 
-def quadratic_factor(params: RecurrenceParams, n: int) -> Poly:
+def quadratic_factor(params: RecurrenceParams, n: int, table: SequenceTable | None = None) -> Poly:
     """f_n(x) = x^2 - w_n x + q^n, the minimal relation of sigma^n over Q.
 
     The j = 0 conjugate pair of Phi_n: whenever sigma^n != tau^n its roots
@@ -117,10 +119,10 @@ def quadratic_factor(params: RecurrenceParams, n: int) -> Poly:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _conjugate_pair(SequenceTable(params), n, 0)
+    return _conjugate_pair(table if table is not None else SequenceTable(params), n, 0)
 
 
-def fibonacci_factorization(n: int) -> tuple[Poly, Poly, int]:
+def fibonacci_factorization(n: int, table: SequenceTable | None = None) -> tuple[Poly, Poly, int]:
     """Split Phi_n(1, -1, x) as sign * (x^2 - L_n x + (-1)^n) * Phi_{n-2}(1, -1, -x).
 
     Returns (quadratic, reversed tail, sign) with the unique sign that makes
@@ -130,9 +132,10 @@ def fibonacci_factorization(n: int) -> tuple[Poly, Poly, int]:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    phi = phi_product(FIBONACCI, n)
-    quad = quadratic_factor(FIBONACCI, n)
-    tail = phi_product(FIBONACCI, n - 2).compose_negate()
+    t = table if table is not None else SequenceTable(FIBONACCI)
+    phi = phi_product(FIBONACCI, n, table=t)
+    quad = quadratic_factor(FIBONACCI, n, table=t)
+    tail = phi_product(FIBONACCI, n - 2, table=t).compose_negate()
     product = quad * tail
     signs = [s for s, signed in ((1, product), (-1, -product)) if signed == phi]
     if len(signs) != 1:

@@ -11,8 +11,9 @@ Values are exact end to end: rationals are accepted as integers or "a/b"
 and decimal floats are rejected. Output is deterministic byte for byte;
 --timestamps adds run metadata outside the data records. Exit codes:
 0 success / all checks pass, 1 identity counterexample found, 2 usage or
-input error, 3 internal inconsistency (two exact constructions disagree,
-or an arithmetic error escaped a computation).
+input error (including an answer with more digits than Python's int/str
+conversion limit, PYTHONINTMAXSTRDIGITS), 3 internal inconsistency (two
+exact constructions disagree, or an arithmetic error escaped a computation).
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .poly import Poly
 from .sequences import FIBONACCI, RecurrenceParams, SequenceTable
 
 FORMATS = ("plain", "json", "csv")
+# the ValueError str() raises past sys.get_int_max_str_digits()
+_INT_STR_LIMIT = "for integer string conversion"
 
 
 class UsageError(Exception):
@@ -214,8 +217,9 @@ def _cmd_phi(opts: _Options) -> _Output:
     opts.finish()
 
     params = RecurrenceParams(p, q)
-    phi = phi_product(params, n)
-    if phi != phi_coeff_formula(params, n):
+    table = SequenceTable(params)
+    phi = phi_product(params, n, table=table)
+    if phi != phi_coeff_formula(params, n, table=table):
         raise ArithmeticError(
             "root-product and coefficient-formula constructions disagree "
             f"at p={p}, q={q}, n={n}"
@@ -223,11 +227,11 @@ def _cmd_phi(opts: _Options) -> _Output:
 
     record: dict = {"n": n, "coefficients": _coeff_strings(phi)}
     if factor and n >= 1:
-        quad = quadratic_factor(params, n)
+        quad = quadratic_factor(params, n, table=table)
         record["quadratic_factor"] = _coeff_strings(quad)
         record["quadratic_divides"] = not divmod(phi, quad)[1]
     if factor and params == FIBONACCI and n >= 2:
-        fq, tail, sign = fibonacci_factorization(n)
+        fq, tail, sign = fibonacci_factorization(n, table=table)
         record["factorization"] = {
             "sign": sign,
             "quadratic": _coeff_strings(fq),
@@ -491,6 +495,14 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2 if isinstance(exc, UsageError) else 3
+    except ValueError as exc:
+        if _INT_STR_LIMIT not in str(exc):
+            raise
+        sys.stderr.write(
+            f"error: an exact value has more than {sys.get_int_max_str_digits()} digits, "
+            "the int/str conversion limit; set PYTHONINTMAXSTRDIGITS to raise it\n"
+        )
+        return 2
 
 
 if __name__ == "__main__":

@@ -199,7 +199,7 @@ def _eq22(n: int, t: SequenceTable) -> CheckOutcome:
 
 def _eq21(n: int, t: SequenceTable) -> CheckOutcome:
     try:
-        _, _, sign = fibonacci_factorization(n)
+        _, _, sign = fibonacci_factorization(n, table=t)
     except FactorizationSignError:
         return CheckOutcome(FAIL, "no exact sign", (-1) ** (n - 1))
     return _eq_outcome(sign, (-1) ** (n - 1))

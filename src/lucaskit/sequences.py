@@ -9,12 +9,21 @@ by plain iteration, by closed form in Q(sqrt(d)), and by index doubling.
 All routes return exact Fractions and agree with each other; the doubling
 route additionally reports how many multiplications it spent, which makes
 the asymptotic advantage over iteration checkable rather than anecdotal.
+
+The canonical routes, ``SequenceTable`` and ``fast_pair``, compute on ints.
+With lam = lcm(den p, den q), the values U_n = lam^(n-1) u_n and
+W_n = lam^n w_n are integers satisfying the same recurrence at
+(lam p, lam^2 q), so the work is integer arithmetic and each result
+becomes a Fraction once, by one division by a power of lam (none when p
+and q are integers). ``iter_pair`` stays on Fractions as the independent
+oracle the tests compare them against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .numeric import as_fraction
 from .quadfield import make_roots, rational_value
@@ -73,40 +82,76 @@ class _NullCounter:
 _NULL = _NullCounter()
 
 
+def _scaled(params: RecurrenceParams) -> tuple[int, int, int]:
+    """(lam, P, Q) with lam = lcm(den p, den q), P = lam p and Q = lam^2 q, all ints.
+
+    u_n(P, Q) = lam^(n-1) u_n(p, q), w_n(P, Q) = lam^n w_n(p, q) and
+    Q^n = lam^(2n) q^n, so the integer recurrence at (P, Q) carries the
+    rational one at (p, q). Integer params give lam = 1.
+    """
+    p, q = params.p, params.q
+    lam = lcm(p.denominator, q.denominator)
+    return lam, p.numerator * (lam // p.denominator), q.numerator * (lam // q.denominator) * lam
+
+
+def _unscale(value: int, lam: int, e: int) -> Fraction:
+    """value / lam^e as a Fraction (e < 0 only for value 0).
+
+    With nothing to divide, ``Fraction(value)`` shares the int object
+    instead of copying it, so a table at integer params holds each value once.
+    """
+    if lam == 1 or e <= 0:
+        return Fraction(value)
+    return Fraction(value, lam**e)
+
+
 class SequenceTable:
-    """Memoized u_n, w_n and q^n values, grown on demand by the recurrence."""
+    """Memoized u_n, w_n and q^n values, grown on demand by the recurrence.
+
+    u and w grow as the integers U_n and W_n of ``_scaled``. An index
+    becomes a Fraction on its first lookup, and later lookups reuse it.
+    """
 
     def __init__(self, params: RecurrenceParams):
         self.params = params
-        self._u = [Fraction(0), Fraction(1)]
-        self._w = [Fraction(2), params.p]
-        self._qpow = [Fraction(1)]
+        self._lam, self._P, self._Q = _scaled(params)
+        self._U, self._W = [0, 1], [2, self._P]
+        self._u, self._w = [None, None], [None, None]
+        self._qpow: dict[int, Fraction] = {}
 
     def _grow(self, n: int) -> None:
-        p, q = self.params.p, self.params.q
-        while len(self._u) <= n:
-            self._u.append(p * self._u[-1] - q * self._u[-2])
-            self._w.append(p * self._w[-1] - q * self._w[-2])
-        while len(self._qpow) <= n:
-            self._qpow.append(q * self._qpow[-1])
+        P, Q, U, W = self._P, self._Q, self._U, self._W
+        while len(U) <= n:
+            U.append(P * U[-1] - Q * U[-2])
+            W.append(P * W[-1] - Q * W[-2])
+        self._u += [None] * (n + 1 - len(self._u))
+        self._w += [None] * (n + 1 - len(self._w))
+
+    def _lookup(self, view: list, ints: list[int], n: int, e: int) -> Fraction:
+        """view[n], made on first use as ints[n] / lam^e."""
+        if n < 0:
+            raise ValueError("index must be nonnegative")
+        if n >= len(view):
+            self._grow(n)
+        value = view[n]
+        if value is None:
+            value = view[n] = _unscale(ints[n], self._lam, e)
+        return value
 
     def u(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("index must be nonnegative")
-        self._grow(n)
-        return self._u[n]
+        return self._lookup(self._u, self._U, n, n - 1)
 
     def w(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("index must be nonnegative")
-        self._grow(n)
-        return self._w[n]
+        return self._lookup(self._w, self._W, n, n)
 
     def q_power(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("index must be nonnegative")
-        self._grow(n)
-        return self._qpow[n]
+        value = self._qpow.get(n)
+        if value is None:
+            # Fraction ** int skips the gcd: num(q)^n and den(q)^n are coprime
+            value = self._qpow[n] = self.params.q**n
+        return value
 
 
 def iter_pair(params: RecurrenceParams, n: int, counter=None) -> tuple[Fraction, Fraction]:
@@ -133,16 +178,17 @@ def fast_pair(params: RecurrenceParams, n: int, counter=None) -> tuple[Fraction,
         u_{2k+1} = u_{k+1} w_k - q^k    w_{2k+1} = w_{k+1} w_k - p q^k
 
     so each bit of n costs a handful of multiplications regardless of how
-    large the entries have grown.
+    large the entries have grown. It runs on the integer pair (P, Q) of
+    ``_scaled`` and divides by powers of lam once, at the end.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
     c = counter if counter is not None else _NULL
-    p, q = params.p, params.q
+    lam, p, q = _scaled(params)
 
-    def state(k: int) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
+    def state(k: int) -> tuple[int, int, int, int, int]:
         if k == 0:
-            return Fraction(0), Fraction(1), Fraction(2), p, Fraction(1)
+            return 0, 1, 2, p, 1
         uh, uh1, wh, wh1, qh = state(k >> 1)
         u_even = c.mul(uh, wh)
         u_odd = c.mul(uh1, wh) - qh
@@ -157,7 +203,7 @@ def fast_pair(params: RecurrenceParams, n: int, counter=None) -> tuple[Fraction,
         return u_even, u_odd, w_even, w_odd, q_even
 
     u_n, _, w_n, _, _ = state(n)
-    return u_n, w_n
+    return _unscale(u_n, lam, n - 1), _unscale(w_n, lam, n)
 
 
 def u_binet(params: RecurrenceParams, n: int) -> Fraction:

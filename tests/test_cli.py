@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from lucaskit import cli
 from lucaskit.cli import main
 from lucaskit.poly import Poly
 
@@ -109,11 +111,11 @@ def test_phi_large_prime_discriminant(capsys):
     assert (code, out, err) == (0, "coefficients: 3 -100000000000000000039 1\n", "")
 
 
-def _wrong_formula(params, n):
+def _wrong_formula(params, n, table=None):
     return Poly([1, 1])
 
 
-def _raising_formula(params, n):
+def _raising_formula(params, n, table=None):
     raise ZeroDivisionError("division by zero")
 
 
@@ -124,6 +126,29 @@ def test_internal_inconsistency_exits_3(monkeypatch, capsys, formula):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_seq_past_int_str_limit_exits_2(capsys):
+    # u_2200 at p=100, q=1 has about 4400 digits, past Python's default limit
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "seq", "-p", "100", "-q", "1", "-n", "2200")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "4300 digits" in err and "PYTHONINTMAXSTRDIGITS" in err
+
+
+def _other_value_error(opts):
+    raise ValueError("not a digit limit")
+
+
+def test_other_value_errors_are_not_mapped(monkeypatch, capsys):
+    monkeypatch.setitem(cli._HANDLERS, "seq", _other_value_error)
+    with pytest.raises(ValueError, match="not a digit limit"):
+        main(["seq", "-p", "1", "-q", "-1", "-n", "3"])
 
 
 def test_binom(capsys):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,50 @@ def test_mul_counter_advantage():
     iter_pair(params, 4096, iter_c)
     assert iter_c.count == 4 * 4096
     assert fast_c.count * 10 <= iter_c.count
+
+
+ORACLE_PARAMS = [(p, q) for p in range(-2, 3) for q in range(-2, 3)] + [
+    (Fraction(1, 2), Fraction(-1, 3)),
+    (Fraction(3, 4), Fraction(1, 8)),
+    (Fraction(-5, 6), Fraction(2, 9)),
+    (Fraction(0), Fraction(1, 3)),
+    (Fraction(1, 2), Fraction(0)),
+    (Fraction(2, 3), Fraction(-1, 3)),
+    (Fraction(1), Fraction(1, 4)),  # p^2 = 4q
+]
+
+
+@pytest.mark.parametrize("p, q", ORACLE_PARAMS)
+def test_int_kernel_matches_fraction_iteration(p, q):
+    # iter_pair runs on Fractions and shares no code with the scaled-int routes
+    params = RecurrenceParams(p, q)
+    table = SequenceTable(params)
+    q_n = Fraction(1)
+    for n in range(61):
+        u, w = iter_pair(params, n)
+        got = (table.u(n), table.w(n), table.q_power(n), *fast_pair(params, n))
+        assert got == (u, w, q_n, u, w)
+        assert all(type(v) is Fraction for v in got)
+        q_n *= params.q
+    # a second lookup returns the value made on the first
+    assert table.u(60) is table.u(60)
+
+
+def test_int_kernel_does_no_fraction_arithmetic(monkeypatch):
+    calls = Counter()
+    for name in ("__mul__", "__sub__", "__add__"):
+        def counting(a, b, name=name, original=getattr(Fraction, name)):
+            calls[name] += 1
+            return original(a, b)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    params = RecurrenceParams(Fraction(2, 3), Fraction(-1, 3))
+    SequenceTable(params).u(500)
+    assert sum(calls.values()) == 0
+    fast_pair(params, 1000)
+    assert sum(calls.values()) == 0
+    iter_pair(params, 10)  # the Fraction oracle is counted, so the counter works
+    assert calls["__mul__"] == 40
 
 
 @given(rationals, rationals, st.integers(min_value=0, max_value=30))
