@@ -1,4 +1,4 @@
-"""Sequence-layer microbenchmark: int vs Fraction recurrence, SequenceTable, fast_pair.
+"""Sequence-layer microbenchmark: int vs Fraction recurrence, SequenceTable, fast_pair, CLI calls.
 
 Run from the root of a checkout:
 
@@ -10,12 +10,14 @@ and records one side of the out file, keeping the sides already there, so
 two runs against two source trees give a before/after pair. Every case
 reports the median wall time of ``-k`` runs (time.perf_counter), and from
 one extra untimed run its deterministic operation counts and the largest
-operand in bits. Stdlib only.
+operand in bits. The ``lucaskit ...`` cases call ``cli.main`` in-process
+with stdout discarded. Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import operator
 import os
@@ -23,7 +25,7 @@ import platform
 import statistics
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,6 +99,12 @@ def cases(lk):
         out.append((f"fast_pair({p}, {q}, {n})",
                     lambda p=p, q=q, n=n: seq.fast_pair(params(p, q), n),
                     lambda c, p=p, q=q, n=n: seq.fast_pair(params(p, q), n, c)))
+    for argv in (["phi", "-p", "2", "-q", "3", "-n", "12"],
+                 ["gauss", "-m", "26", "-k", "9", "--cyclotomic"]):
+        def call(argv=argv):
+            with redirect_stdout(io.StringIO()):
+                return lk.cli.main(argv)
+        out.append((f"lucaskit {' '.join(argv)}", call, None))
     return out
 
 
@@ -128,6 +136,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.src).resolve()))
+    import lucaskit.cli
     import lucaskit.sequences
 
     side = {"cases": {}}

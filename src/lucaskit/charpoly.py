@@ -129,6 +129,10 @@ def fibonacci_factorization(n: int, table: SequenceTable | None = None) -> tuple
     the product exact. Degree bookkeeping forces sign = (-1)^(n-1): the tail
     has odd-or-even degree n-1, so negating x scales its leading coefficient
     by (-1)^(n-1), and the left side is monic.
+
+    Both sides are products of the same conjugate pairs, read from the same
+    table, so this check cannot see a wrong w_n or u_n: a sweep of it tests
+    only the sign and the q^n terms.
     """
     if n < 2:
         raise ValueError("n must be at least 2")

@@ -92,7 +92,7 @@ def _load_config(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     out: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -483,10 +483,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse does not change a parser while parsing, so one tree serves every call
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(_merge_negative_values(raw))
+        args = _PARSER.parse_args(_merge_negative_values(raw))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -145,9 +145,9 @@ class GridSpec:
 
 # -- identity cells -------------------------------------------------------------
 # A cell evaluates one identity at one index tuple. The sweep runner calls it
-# as cell(*indices, table[, d]); the public check_* functions wrap the same
-# cell. d = p^2 - 4q is fixed for a sweep, so it is computed once per sweep
-# and passed in rather than recomputed in every cell.
+# as cell(*indices, table); the public check_* functions wrap the same cell.
+# Cells read p^2 - 4q as table.params.discriminant, which the params compute
+# once and cache, so a sweep does not recompute it in every cell.
 
 
 def _eq_outcome(lhs, rhs) -> CheckOutcome:
@@ -156,25 +156,25 @@ def _eq_outcome(lhs, rhs) -> CheckOutcome:
     return CheckOutcome(FAIL, lhs, rhs)
 
 
-def _prop34(n: int, t: SequenceTable, d: Fraction) -> CheckOutcome:
-    return _eq_outcome(t.w(n) ** 2 - 4 * t.q_power(n), t.u(n) ** 2 * d)
+def _prop34(n: int, t: SequenceTable) -> CheckOutcome:
+    return _eq_outcome(t.w(n) ** 2 - 4 * t.q_power(n), t.u(n) ** 2 * t.params.discriminant)
 
 
-def _cor36(n: int, t: SequenceTable, d: Fraction) -> CheckOutcome:
+def _cor36(n: int, t: SequenceTable) -> CheckOutcome:
     qn = t.q_power(n)
     w2n = t.w(2 * n)
     step = _eq_outcome(t.w(n) ** 2, w2n + 2 * qn)
     if step.status == FAIL:
         return step
-    return _eq_outcome(w2n - 2 * qn, t.u(n) ** 2 * d)
+    return _eq_outcome(w2n - 2 * qn, t.u(n) ** 2 * t.params.discriminant)
 
 
-def _eq35_root(n: int, t: SequenceTable, d: Fraction) -> Fraction | None:
-    return is_rational_square((t.w(n) ** 2 - 4 * t.q_power(n)) / d)
+def _eq35_root(n: int, t: SequenceTable) -> Fraction | None:
+    return is_rational_square((t.w(n) ** 2 - 4 * t.q_power(n)) / t.params.discriminant)
 
 
-def _eq35(n: int, t: SequenceTable, d: Fraction) -> CheckOutcome:
-    z = _eq35_root(n, t, d)
+def _eq35(n: int, t: SequenceTable) -> CheckOutcome:
+    z = _eq35_root(n, t)
     expected = abs(t.u(n))
     if z is None:
         return CheckOutcome(FAIL, "no rational solution", expected)
@@ -226,7 +226,7 @@ def _ratio_check(num: Fraction, den: Fraction) -> CheckOutcome:
 def check_prop34(params: RecurrenceParams, n: int, table: SequenceTable | None = None) -> bool:
     """w_n^2 - 4 q^n == u_n^2 (p^2 - 4q), exactly."""
     t = table if table is not None else SequenceTable(params)
-    return _prop34(n, t, params.discriminant).status == PASS
+    return _prop34(n, t).status == PASS
 
 
 def check_eq35_shape(
@@ -242,19 +242,19 @@ def check_eq35_shape(
     if params.is_degenerate:
         raise DegenerateDiscriminantError("z^2 * 0 = w_n^2 - 4 q^n has no unique solution")
     t = table if table is not None else SequenceTable(params)
-    return _eq35_root(n, t, params.discriminant)
+    return _eq35_root(n, t)
 
 
 def check_cor36(params: RecurrenceParams, n: int, table: SequenceTable | None = None) -> bool:
     """w_{2n} - 2 q^n == u_n^2 (p^2 - 4q), plus the step w_n^2 == w_{2n} + 2 q^n."""
     t = table if table is not None else SequenceTable(params)
-    return _cor36(n, t, params.discriminant).status == PASS
+    return _cor36(n, t).status == PASS
 
 
 def check_eq24(n: int, table: SequenceTable | None = None) -> bool:
     """L_n^2 - 4 (-1)^n == 5 F_n^2: prop34 at p = 1, q = -1."""
     t = table if table is not None else SequenceTable(FIBONACCI)
-    return _prop34(n, t, FIBONACCI.discriminant).status == PASS
+    return _prop34(n, t).status == PASS
 
 
 def check_eq22(n: int, table: SequenceTable | None = None) -> int:
@@ -264,7 +264,7 @@ def check_eq22(n: int, table: SequenceTable | None = None) -> int:
     the result against F_n; this function finds A_n by root extraction.
     """
     t = table if table is not None else SequenceTable(FIBONACCI)
-    root = _eq35_root(n, t, FIBONACCI.discriminant)
+    root = _eq35_root(n, t)
     if root is None or root.denominator != 1:
         raise ArithmeticError(f"L_{n}^2 - 4(-1)^{n} is not five times a perfect square")
     return int(root)
@@ -338,17 +338,16 @@ def _identity(
     note: str = "",
     first: int = 0,
     pairs: bool = False,
-    with_d: bool = False,
     skip_reason: Callable[[RecurrenceParams], str] | None = None,
 ) -> IdentityDescriptor:
     """Describe an identity whose runner sweeps ``check`` over its index tuples.
 
     The runner calls ``check(n, table)`` for n in [first, n_max], or
-    ``check(n, a, table)`` for every a in [0, a_max] too when ``pairs``,
-    appending the discriminant when ``with_d``. It tallies every tuple in
-    order and keeps the smallest counterexample. Fixed-parameter identities
-    get params None and run at p = 1, q = -1. ``skip_reason`` returns a
-    nonempty note when the parameters rule the identity out.
+    ``check(n, a, table)`` for every a in [0, a_max] too when ``pairs``.
+    It tallies every tuple in order and keeps the smallest counterexample.
+    Fixed-parameter identities get params None and run at p = 1, q = -1.
+    ``skip_reason`` returns a nonempty note when the parameters rule the
+    identity out.
     """
 
     def run(grid: GridSpec, params: RecurrenceParams | None) -> IdentityReport:
@@ -359,13 +358,12 @@ def _identity(
         if reason:
             return IdentityReport(identity_id, params, n_range, a_range, SKIPPED, note=reason)
         t = SequenceTable(params)
-        extra = (params.discriminant,) if with_d else ()
         names = ("n", "a") if pairs else ("n",)
         ranges = [range(first, grid.n_max + 1)] + ([range(grid.a_max + 1)] if pairs else [])
         checked = skipped = 0
         ce = None
         for indices in product(*ranges):
-            out = check(*indices, t, *extra)
+            out = check(*indices, t)
             if out.status == SKIPPED:
                 skipped += 1
                 continue
@@ -390,17 +388,17 @@ def _identity(
 _FIXED = "fixed p=1, q=-1"
 
 _DESCRIPTORS = [
-    _identity("prop34", "w_n^2 - 4q^n = u_n^2 (p^2 - 4q)", _prop34, fixed=False, with_d=True),
+    _identity("prop34", "w_n^2 - 4q^n = u_n^2 (p^2 - 4q)", _prop34, fixed=False),
     _identity(
-        "eq35", "z^2 (p^2-4q) = w_n^2 - 4q^n solved by z = |u_n|", _eq35, fixed=False, with_d=True,
+        "eq35", "z^2 (p^2-4q) = w_n^2 - 4q^n solved by z = |u_n|", _eq35, fixed=False,
         skip_reason=lambda params: "discriminant is zero" if params.is_degenerate else "",
     ),
-    _identity("cor36", "w_2n - 2q^n = u_n^2 (p^2 - 4q)", _cor36, fixed=False, with_d=True),
+    _identity("cor36", "w_2n - 2q^n = u_n^2 (p^2 - 4q)", _cor36, fixed=False),
     _identity(
         "cor35", "q=1 triple (w_n, 2u_n, p u_n): x^2+y^2-z^2 = 4, py = 2z", _cor35, fixed=False,
         first=1, skip_reason=lambda params: "" if params.q == 1 else "requires q = 1",
     ),
-    _identity("eq24", "L_n^2 - 4(-1)^n = 5 F_n^2", _prop34, note=_FIXED, with_d=True),
+    _identity("eq24", "L_n^2 - 4(-1)^n = 5 F_n^2", _prop34, note=_FIXED),
     _identity("eq22", "L_n^2 - 4(-1)^n = 5 A_n^2 with A_n = F_n", _eq22, note=_FIXED),
     _identity(
         "eq21", "Phi_n(1,-1,x) factorization with computed sign", _eq21, first=2,

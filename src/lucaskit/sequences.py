@@ -21,8 +21,10 @@ oracle the tests compare them against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .numeric import as_fraction
@@ -44,7 +46,7 @@ class RecurrenceParams:
         object.__setattr__(self, "p", as_fraction(self.p))
         object.__setattr__(self, "q", as_fraction(self.q))
 
-    @property
+    @cached_property
     def discriminant(self) -> Fraction:
         return self.p * self.p - 4 * self.q
 
@@ -70,16 +72,6 @@ class MulCounter:
     def mul(self, a, b):
         self.count += 1
         return a * b
-
-
-class _NullCounter:
-    __slots__ = ()
-
-    def mul(self, a, b):
-        return a * b
-
-
-_NULL = _NullCounter()
 
 
 def _scaled(params: RecurrenceParams) -> tuple[int, int, int]:
@@ -158,52 +150,48 @@ def iter_pair(params: RecurrenceParams, n: int, counter=None) -> tuple[Fraction,
     """(u_n, w_n) by running both recurrences n steps. Baseline: 4n mults."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    c = counter if counter is not None else _NULL
+    mul = counter.mul if counter is not None else operator.mul
     p, q = params.p, params.q
     u0, u1 = Fraction(0), Fraction(1)
     w0, w1 = Fraction(2), p
     for _ in range(n):
-        u0, u1 = u1, c.mul(p, u1) - c.mul(q, u0)
-        w0, w1 = w1, c.mul(p, w1) - c.mul(q, w0)
+        u0, u1 = u1, mul(p, u1) - mul(q, u0)
+        w0, w1 = w1, mul(p, w1) - mul(q, w0)
     return u0, w0
 
 
 def fast_pair(params: RecurrenceParams, n: int, counter=None) -> tuple[Fraction, Fraction]:
     """(u_n, w_n) by index doubling in O(log n) multiplications.
 
-    The recursion carries (u_k, u_{k+1}, w_k, w_{k+1}, q^k) and steps
-    k -> 2k (or 2k+1) with
+    It runs on the integer pair (P, Q) of ``_scaled``, whose U_k and W_k are
+    the scaled u_k and w_k, with D = P^2 - 4Q. One pass over the bits of n,
+    most significant first, carries (U_k, W_k, Q^k) from k = 0. Each bit
+    doubles k,
 
-        u_{2k}   = u_k w_k              w_{2k}   = w_k^2 - 2 q^k
-        u_{2k+1} = u_{k+1} w_k - q^k    w_{2k+1} = w_{k+1} w_k - p q^k
+        U_(2k) = U_k W_k     W_(2k) = W_k^2 - 2 Q^k     Q^(2k) = (Q^k)^2,
 
-    so each bit of n costs a handful of multiplications regardless of how
-    large the entries have grown. It runs on the integer pair (P, Q) of
-    ``_scaled`` and divides by powers of lam once, at the end.
+    and a set bit then adds one,
+
+        U_(k+1) = (P U_k + W_k) / 2     W_(k+1) = (D U_k + P W_k) / 2     Q^(k+1) = Q^k Q.
+
+    Both halvings are exact (so a right shift does them): with
+    sigma = (P + sqrt(D)) / 2 a root at (P, Q), sigma^k = (W_k + U_k sqrt(D)) / 2,
+    and multiplying by sigma gives P U_k + W_k = 2 U_(k+1) and
+    D U_k + P W_k = 2 W_(k+1) in integers. So each binary digit of n costs 3
+    counted multiplications and each set bit 4 more, however large the
+    entries have grown. The result is divided by powers of lam once, at the end.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    c = counter if counter is not None else _NULL
+    mul = counter.mul if counter is not None else operator.mul
     lam, p, q = _scaled(params)
-
-    def state(k: int) -> tuple[int, int, int, int, int]:
-        if k == 0:
-            return 0, 1, 2, p, 1
-        uh, uh1, wh, wh1, qh = state(k >> 1)
-        u_even = c.mul(uh, wh)
-        u_odd = c.mul(uh1, wh) - qh
-        w_even = c.mul(wh, wh) - (qh + qh)
-        w_odd = c.mul(wh1, wh) - c.mul(p, qh)
-        q_even = c.mul(qh, qh)
-        if k & 1:
-            qh1 = c.mul(qh, q)
-            u_next = c.mul(uh1, wh1)
-            w_next = c.mul(wh1, wh1) - (qh1 + qh1)
-            return u_odd, u_next, w_odd, w_next, c.mul(q_even, q)
-        return u_even, u_odd, w_even, w_odd, q_even
-
-    u_n, _, w_n, _, _ = state(n)
-    return _unscale(u_n, lam, n - 1), _unscale(w_n, lam, n)
+    d = p * p - 4 * q
+    u, w, qk = 0, 2, 1
+    for i in reversed(range(n.bit_length())):
+        u, w, qk = mul(u, w), mul(w, w) - 2 * qk, mul(qk, qk)
+        if n >> i & 1:
+            u, w, qk = (mul(p, u) + w) >> 1, (mul(d, u) + mul(p, w)) >> 1, mul(qk, q)
+    return _unscale(u, lam, n - 1), _unscale(w, lam, n)
 
 
 def u_binet(params: RecurrenceParams, n: int) -> Fraction:

@@ -299,6 +299,11 @@ def test_config_errors(tmp_path, capsys):
     code, _, err = run(capsys, "seq", "--config", str(unknown))
     assert code == 2 and "unknown config keys" in err
 
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes(b"p=1\xff\n")
+    code, out, err = run(capsys, "seq", "--config", str(not_utf8), "-q", "1", "-n", "2")
+    assert code == 2 and out == "" and "cannot read config file" in err
+
 
 def test_usage_errors_from_argparse(capsys):
     assert main([]) == 2

@@ -204,6 +204,44 @@ def test_run_grid_eq21_reports():
     assert diag.first_counterexample.indices == (("n", 2),)
 
 
+class _WrongU5(SequenceTable):
+    def u(self, n):
+        return super().u(n) + (n == 5)
+
+
+class _WrongQ5(SequenceTable):
+    def q_power(self, n):
+        return super().q_power(n) + (n == 5)
+
+
+def _faulty_sweep(monkeypatch, table_class):
+    monkeypatch.setattr("lucaskit.identities.SequenceTable", table_class)
+    grid = GridSpec((Fraction(3), Fraction(3)), (Fraction(1), Fraction(1)), n_max=12, a_max=3)
+    return {r.identity_id: r for r in run_grid(grid, DEFAULT_IDENTITY_IDS)}
+
+
+def test_run_grid_reports_a_wrong_sequence_value(monkeypatch):
+    # a table whose u_5 is off by one must be caught by every identity that reads u
+    reports = _faulty_sweep(monkeypatch, _WrongU5)
+    first = {i: r.first_counterexample.indices for i, r in reports.items() if r.status == "fail"}
+    n5 = (("n", 5),)
+    assert first == {
+        "prop34": n5, "eq35": n5, "cor36": n5, "cor35": n5, "eq24": n5, "eq22": n5,
+        "eq25_freitag": (("n", 2), ("a", 3)), "eq25_zeitlin": (("n", 1), ("a", 2)),
+    }
+    # eq21 compares two products of the same conjugate pairs, so it cannot see u
+    assert reports["eq21"].status == "pass"
+
+    # a wrong q^5 reaches eq21's sign and each cell's own failure branch
+    reports = _faulty_sweep(monkeypatch, _WrongQ5)
+    lhs_at = {i: (r.first_counterexample.indices, r.first_counterexample.lhs)
+              for i, r in reports.items() if r.status == "fail"}
+    assert lhs_at["eq21"] == (n5, "no exact sign")
+    assert lhs_at["eq35"] == (n5, "no rational solution")
+    assert lhs_at["eq22"] == (n5, "not five times a square")
+    assert lhs_at["cor36"] == (n5, 15129)  # the step w_5^2 = w_10 + 2 q^5 fails first
+
+
 def test_run_grid_ordering_and_determinism():
     grid = GridSpec((Fraction(-2), Fraction(2)), (Fraction(-1), Fraction(1)), 15, 3)
     ids = ["prop34", "cor36", "eq24", "eq25_zeitlin"]

@@ -92,6 +92,15 @@ def test_mul_counter_advantage():
     assert fast_c.count * 10 <= iter_c.count
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 127, 128, 255, 4096, 99999])
+def test_fast_pair_mul_count_per_bit(n):
+    # each binary digit doubles the index (3 products), each set bit adds one
+    # (4 more), so 43 at n = 4096
+    counter = MulCounter()
+    fast_pair(RecurrenceParams(3, -2), n, counter)
+    assert counter.count == 3 * n.bit_length() + 4 * bin(n).count("1")
+
+
 ORACLE_PARAMS = [(p, q) for p in range(-2, 3) for q in range(-2, 3)] + [
     (Fraction(1, 2), Fraction(-1, 3)),
     (Fraction(3, 4), Fraction(1, 8)),
@@ -115,6 +124,11 @@ def test_int_kernel_matches_fraction_iteration(p, q):
         assert got == (u, w, q_n, u, w)
         assert all(type(v) is Fraction for v in got)
         q_n *= params.q
+    # long runs of set and of clear bits in n
+    for n in (127, 128, 255, 256, 1023):
+        got = fast_pair(params, n)
+        assert got == iter_pair(params, n)
+        assert all(type(v) is Fraction for v in got)
     # a second lookup returns the value made on the first
     assert table.u(60) is table.u(60)
 
