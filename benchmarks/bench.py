@@ -1,4 +1,4 @@
-"""Sequence-layer microbenchmark: int vs Fraction recurrence, SequenceTable, fast_pair, CLI calls.
+"""Layer microbenchmark: recurrences, SequenceTable, fast_pair, sweeps, Gaussian binomials, CLI.
 
 Run from the root of a checkout:
 
@@ -9,7 +9,8 @@ Each run imports lucaskit from ``--src`` (default: this checkout's src/)
 and records one side of the out file, keeping the sides already there, so
 two runs against two source trees give a before/after pair. Every case
 reports the median wall time of ``-k`` runs (time.perf_counter), and from
-one extra untimed run its deterministic operation counts and the largest
+one extra untimed run its deterministic operation counts (multiplications,
+``Fraction`` operations and ``SequenceTable`` constructions) and the largest
 operand in bits. The ``lucaskit ...`` cases call ``cli.main`` in-process
 with stdout discarded. Stdlib only.
 """
@@ -53,12 +54,32 @@ def fraction_op_counter():
             setattr(Fraction, name, original)
 
 
+@contextmanager
+def table_counter(table_class):
+    """Count constructions of ``table_class``, from whichever module, while active."""
+    count = [0]
+    init = table_class.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    table_class.__init__ = counting
+    try:
+        yield count
+    finally:
+        table_class.__init__ = init
+
+
 def bits(value) -> int:
+    """The largest operand in ``value``; 0 for results that carry none, such as reports."""
     if isinstance(value, Fraction):
         return max(value.numerator.bit_length(), value.denominator.bit_length())
     if isinstance(value, int):
         return value.bit_length()
-    return max(bits(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        return max((bits(v) for v in value), default=0)
+    return bits(value.coeffs) if hasattr(value, "coeffs") else 0
 
 
 def recurrence(p, q, n: int, mul=operator.mul):
@@ -99,6 +120,17 @@ def cases(lk):
         out.append((f"fast_pair({p}, {q}, {n})",
                     lambda p=p, q=q, n=n: seq.fast_pair(params(p, q), n),
                     lambda c, p=p, q=q, n=n: seq.fast_pair(params(p, q), n, c)))
+    # run_grid builds its SequenceTables itself, so table_count reads how many
+    ident = lk.identities
+    square = ident.GridSpec((R(-3), R(3)), (R(-3), R(3)), n_max=30)
+    parametric = [i for i, d in ident.REGISTRY.items() if not d.fixed_params]
+    for label, grid, ids in (("7x7 n_max=30 default ids", square, ident.DEFAULT_IDENTITY_IDS),
+                             ("7x7 n_max=30 parametric ids", square, parametric),
+                             ("eq21 n_max=40", ident.GridSpec(n_max=40), ["eq21"])):
+        out.append((f"run_grid {label}", lambda grid=grid, ids=ids: ident.run_grid(grid, ids), None))
+    for m, k in ((44, 20), (200, 100)):
+        out.append((f"gaussian_binomial({m}, {k})",
+                    lambda m=m, k=k: lk.binomials.gaussian_binomial(m, k), None))
     for argv in (["phi", "-p", "2", "-q", "3", "-n", "12"],
                  ["gauss", "-m", "26", "-k", "9", "--cyclotomic"]):
         def call(argv=argv):
@@ -115,13 +147,15 @@ def measure(lk, fn, counted, k: int) -> dict:
         fn()
         times.append(time.perf_counter() - t0)
     counter = lk.sequences.MulCounter()
-    with fraction_op_counter() as fraction_ops:
+    with fraction_op_counter() as fraction_ops, \
+            table_counter(lk.sequences.SequenceTable) as tables:
         result = counted(counter) if counted is not None else fn()
     return {
         "median_s": statistics.median(times),
         "runs_s": times,
         "mul_count": counter.count if counted is not None else None,
         "fraction_ops": sum(fraction_ops.values()),
+        "table_count": tables[0],
         "max_operand_bits": bits(result),
     }
 
@@ -136,14 +170,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.src).resolve()))
+    import lucaskit.binomials
     import lucaskit.cli
+    import lucaskit.identities
     import lucaskit.sequences
 
     side = {"cases": {}}
     for name, fn, counted in cases(lucaskit):
         side["cases"][name] = row = measure(lucaskit, fn, counted, args.k)
         print(f"{row['median_s'] * 1000:10.2f} ms  fraction_ops={row['fraction_ops']:<7} "
-              f"bits={row['max_operand_bits']:<7} {name}")
+              f"tables={row['table_count']:<4} bits={row['max_operand_bits']:<7} {name}")
     if args.out:
         path = Path(args.out)
         doc = json.loads(path.read_text()) if path.exists() else {"sides": {}}

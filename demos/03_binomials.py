@@ -22,7 +22,7 @@ from lucaskit import (
     generalized_binomial_row,
 )
 
-# The q-Pascal recursion builds each Gaussian binomial exactly.
+# The product formula builds each Gaussian binomial exactly.
 for k in range(5):
     print(f"B(4,{k}) =", gaussian_binomial(4, k))
 

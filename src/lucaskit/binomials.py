@@ -1,12 +1,9 @@
 """Gaussian binomials, cyclotomic factorizations, and (r|k)_u coefficients.
 
-Both binomials are built by a Pascal-type rule, one banded row walk with
-no division. The Gaussian binomial B(m, k) is an integer polynomial in z:
-
-    B(m, j) = B(m-1, j-1) + z^j B(m-1, j)
-
-The generalized binomial (r|k)_u is a rational number, built by the
-Lucasnomial rule (Fontene, Ward; Gould)
+The Gaussian binomial B(m, k) is an integer polynomial in z, built by the
+product formula prod_{i=1}^{k} (1 - z^(m-k+i)) / (1 - z^i) on one int list.
+The generalized binomial (r|k)_u is a rational number, built by one banded
+row walk of the Lucasnomial Pascal rule (Fontene, Ward; Gould)
 
     (m|j)_u = u_{j+1} (m-1|j)_u - q u_{m-j-1} (m-1|j-1)_u
 
@@ -25,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 from .poly import Poly
 from .sequences import RecurrenceParams, SequenceTable
@@ -38,37 +34,27 @@ def _check_k(m: int, k: int) -> None:
         raise ValueError(f"k must lie in [0, {m}], got {k}")
 
 
-def _pascal_band(r: int, k_lo: int, k_hi: int, one, cell) -> list:
-    """Entries (r, k_lo) .. (r, k_hi) of a Pascal-type triangle with ``one`` on its edges.
-
-    ``cell(m, j, left, up)`` makes the entry at (m, j), 0 < j < m, from
-    left = (m-1, j-1) and up = (m-1, j). Row m keeps only the columns
-    max(0, k_lo - (r - m)) .. min(k_hi, m), the ones row r depends on.
-    """
-    lo_prev, row = 0, [one]
-    for m in range(1, r + 1):
-        lo = max(0, k_lo - (r - m))
-        row = [one if j == 0 or j == m else cell(m, j, row[j - 1 - lo_prev], row[j - lo_prev])
-               for j in range(lo, min(k_hi, m) + 1)]
-        lo_prev = lo
-    return row
-
-
-def _q_pascal_cell(m: int, j: int, left: list, up: list) -> list:
-    """B(m-1, j-1) + z^j B(m-1, j) on ascending int coefficient lists."""
-    out = left + [0] * (j + len(up) - len(left))
-    out[j:] = map(add, out[j:], up)
-    return out
-
-
 def gaussian_binomial(m: int, k: int) -> Poly:
-    """The Gaussian binomial as a polynomial in z, by the q-Pascal recurrence.
+    """The Gaussian binomial as a polynomial in z, by the product formula.
+
+    Factor i multiplies by 1 - z^(m-k+i) from the top down, then divides
+    exactly by 1 - z^i from the bottom up. No term above degree k(m-k)
+    ever reaches a lower one, so the list never grows.
 
     >>> gaussian_binomial(4, 2).coeffs
     [1, 1, 2, 1, 1]
     """
     _check_k(m, k)
-    return Poly(_pascal_band(m, k, k, [1], _q_pascal_cell)[0])
+    k = min(k, m - k)
+    top = k * (m - k)
+    c = [1] + [0] * top
+    for i in range(1, k + 1):
+        e = m - k + i
+        for j in range(top, e - 1, -1):
+            c[j] -= c[j - e]
+        for j in range(i, top + 1):
+            c[j] += c[j - i]
+    return Poly(c)
 
 
 @lru_cache(maxsize=None)
@@ -196,12 +182,22 @@ def bivariate_F(r: int, k: int) -> HomogeneousBiPoly:
 def _lucasnomial_band(
     params: RecurrenceParams, r: int, k_lo: int, k_hi: int, table: SequenceTable | None = None
 ) -> list[Fraction]:
-    """(r|k_lo)_u .. (r|k_hi)_u by the Lucasnomial Pascal rule, over Q."""
+    """(r|k_lo)_u .. (r|k_hi)_u by the Lucasnomial Pascal rule, over Q.
+
+    Row m keeps the columns k_lo - (r - m) .. k_hi, clipped to 0 .. m, that row r reads.
+    """
     t = table if table is not None else SequenceTable(params)
     u = [t.u(i) for i in range(r + 1)]
     qu = [params.q * x for x in u]
-    return _pascal_band(r, k_lo, k_hi, Fraction(1),
-                        lambda m, j, left, up: u[j + 1] * up - qu[m - j - 1] * left)
+    one = Fraction(1)
+    lo_prev, row = 0, [one]
+    for m in range(1, r + 1):
+        lo = max(0, k_lo - (r - m))
+        row = [one if j == 0 or j == m
+               else u[j + 1] * row[j - lo_prev] - qu[m - j - 1] * row[j - 1 - lo_prev]
+               for j in range(lo, min(k_hi, m) + 1)]
+        lo_prev = lo
+    return row
 
 
 def generalized_binomial_row(

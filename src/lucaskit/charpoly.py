@@ -4,10 +4,10 @@ Phi_n(p, q, x) is defined as the monic degree-(n+1) product over the root
 multiset {sigma^j tau^(n-j)}: it annihilates the n-th powers of every
 solution of X_r = p X_{r-1} - q X_{r-2}. Conjugation pairs sigma^j tau^(n-j)
 with sigma^(n-j) tau^j, so the product is taken over Q, one rational quadratic
-per pair; its expansion over Q(sqrt(d)) is kept only as a test oracle.
-Everything else here is checked against that product: the closed coefficient
-formula through generalized binomials, the quadratic factor x^2 - w_n x + q^n,
-and the Fibonacci factorization whose sign is computed rather than assumed.
+per pair, which reads w_n and q^n; its expansion over Q(sqrt(d)) is kept only
+as a test oracle. The closed coefficient formula is the second route: it reads
+u_n through one row of generalized binomials. The Fibonacci factorization sets
+the two against each other, with a sign computed rather than assumed.
 """
 
 from __future__ import annotations
@@ -130,14 +130,14 @@ def fibonacci_factorization(n: int, table: SequenceTable | None = None) -> tuple
     has odd-or-even degree n-1, so negating x scales its leading coefficient
     by (-1)^(n-1), and the left side is monic.
 
-    Both sides are products of the same conjugate pairs, read from the same
-    table, so this check cannot see a wrong w_n or u_n: a sweep of it tests
-    only the sign and the q^n terms.
+    Phi_n comes from the Lucasnomial row of ``phi_coeff_formula``, which
+    reads u; the quadratic and the tail are conjugate-pair products, which
+    read w. The two sides share no code, so a wrong u_n or w_n shows too.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     t = table if table is not None else SequenceTable(FIBONACCI)
-    phi = phi_product(FIBONACCI, n, table=t)
+    phi = phi_coeff_formula(FIBONACCI, n, table=t)
     quad = quadratic_factor(FIBONACCI, n, table=t)
     tail = phi_product(FIBONACCI, n - 2, table=t).compose_negate()
     product = quad * tail

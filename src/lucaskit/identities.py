@@ -145,9 +145,9 @@ class GridSpec:
 
 # -- identity cells -------------------------------------------------------------
 # A cell evaluates one identity at one index tuple. The sweep runner calls it
-# as cell(*indices, table); the public check_* functions wrap the same cell.
-# Cells read p^2 - 4q as table.params.discriminant, which the params compute
-# once and cache, so a sweep does not recompute it in every cell.
+# as cell(*indices, table) on the one table run_grid builds per (p, q); the
+# public check_* functions wrap the same cell. Cells read p^2 - 4q as
+# table.params.discriminant, which is computed once per table and cached.
 
 
 def _eq_outcome(lhs, rhs) -> CheckOutcome:
@@ -325,7 +325,7 @@ class IdentityDescriptor:
     summary: str
     diagnostic: bool
     fixed_params: bool
-    runner: Callable[[GridSpec, RecurrenceParams | None], IdentityReport]
+    runner: Callable[[GridSpec, SequenceTable], IdentityReport]
 
 
 def _identity(
@@ -342,28 +342,26 @@ def _identity(
 ) -> IdentityDescriptor:
     """Describe an identity whose runner sweeps ``check`` over its index tuples.
 
-    The runner calls ``check(n, table)`` for n in [first, n_max], or
-    ``check(n, a, table)`` for every a in [0, a_max] too when ``pairs``.
-    It tallies every tuple in order and keeps the smallest counterexample.
-    Fixed-parameter identities get params None and run at p = 1, q = -1.
-    ``skip_reason`` returns a nonempty note when the parameters rule the
-    identity out.
+    The runner takes the grid and the table of one (p, q), and calls
+    ``check(n, table)`` for n in [first, n_max], or ``check(n, a, table)``
+    for every a in [0, a_max] too when ``pairs``. It tallies every tuple in
+    order and keeps the smallest counterexample. ``run_grid`` hands
+    fixed-parameter identities the table at p = 1, q = -1. ``skip_reason``
+    returns a nonempty note when ``table.params`` rule the identity out.
     """
 
-    def run(grid: GridSpec, params: RecurrenceParams | None) -> IdentityReport:
-        params = params if params is not None else FIBONACCI
+    def run(grid: GridSpec, table: SequenceTable) -> IdentityReport:
         n_range = (first, grid.n_max)
         a_range = (0, grid.a_max) if pairs else None
-        reason = skip_reason(params) if skip_reason is not None else ""
+        reason = skip_reason(table.params) if skip_reason is not None else ""
         if reason:
-            return IdentityReport(identity_id, params, n_range, a_range, SKIPPED, note=reason)
-        t = SequenceTable(params)
+            return IdentityReport(identity_id, table.params, n_range, a_range, SKIPPED, note=reason)
         names = ("n", "a") if pairs else ("n",)
         ranges = [range(first, grid.n_max + 1)] + ([range(grid.a_max + 1)] if pairs else [])
         checked = skipped = 0
         ce = None
         for indices in product(*ranges):
-            out = check(*indices, t)
+            out = check(*indices, table)
             if out.status == SKIPPED:
                 skipped += 1
                 continue
@@ -377,7 +375,7 @@ def _identity(
         else:
             status = PASS
         return IdentityReport(
-            identity_id, params, n_range, a_range, status, ce,
+            identity_id, table.params, n_range, a_range, status, ce,
             note or ("no checkable indices in range" if status == SKIPPED else ""),
             checked, skipped,
         )
@@ -444,13 +442,16 @@ def run_grid(grid: GridSpec, identity_ids: Iterable[str]) -> list[IdentityReport
     if unknown:
         known = ", ".join(sorted(REGISTRY))
         raise ValueError(f"unknown identity ids {unknown}; known ids: {known}")
-    reports: list[IdentityReport] = []
-    for identity_id in ids:
-        desc = REGISTRY[identity_id]
-        if desc.fixed_params:
-            reports.append(desc.runner(grid, None))
-            continue
-        for p in grid.p_values():
-            for q in grid.q_values():
-                reports.append(desc.runner(grid, RecurrenceParams(p, q)))
-    return reports
+    reports: dict[str, list[IdentityReport]] = {i: [] for i in ids}
+    fixed = [REGISTRY[i] for i in ids if REGISTRY[i].fixed_params]
+    swept = [REGISTRY[i] for i in ids if not REGISTRY[i].fixed_params]
+    if fixed:
+        table = SequenceTable(FIBONACCI)
+        for desc in fixed:
+            reports[desc.identity_id].append(desc.runner(grid, table))
+    if swept:
+        for p, q in product(grid.p_values(), grid.q_values()):
+            table = SequenceTable(RecurrenceParams(p, q))
+            for desc in swept:
+                reports[desc.identity_id].append(desc.runner(grid, table))
+    return [r for i in ids for r in reports[i]]

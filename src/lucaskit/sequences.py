@@ -177,9 +177,9 @@ def fast_pair(params: RecurrenceParams, n: int, counter=None) -> tuple[Fraction,
     Both halvings are exact (so a right shift does them): with
     sigma = (P + sqrt(D)) / 2 a root at (P, Q), sigma^k = (W_k + U_k sqrt(D)) / 2,
     and multiplying by sigma gives P U_k + W_k = 2 U_(k+1) and
-    D U_k + P W_k = 2 W_(k+1) in integers. So each binary digit of n costs 3
-    counted multiplications and each set bit 4 more, however large the
-    entries have grown. The result is divided by powers of lam once, at the end.
+    D U_k + P W_k = 2 W_(k+1) in integers. Each binary digit of n costs 3
+    counted multiplications and each set bit 4 more, but the last bit skips
+    Q^k, which nothing reads. Powers of lam are divided out once, at the end.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
@@ -188,9 +188,11 @@ def fast_pair(params: RecurrenceParams, n: int, counter=None) -> tuple[Fraction,
     d = p * p - 4 * q
     u, w, qk = 0, 2, 1
     for i in reversed(range(n.bit_length())):
-        u, w, qk = mul(u, w), mul(w, w) - 2 * qk, mul(qk, qk)
+        u, w = mul(u, w), mul(w, w) - 2 * qk
         if n >> i & 1:
-            u, w, qk = (mul(p, u) + w) >> 1, (mul(d, u) + mul(p, w)) >> 1, mul(qk, q)
+            u, w = (mul(p, u) + w) >> 1, (mul(d, u) + mul(p, w)) >> 1
+        if i:
+            qk = mul(mul(qk, qk), q) if n >> i & 1 else mul(qk, qk)
     return _unscale(u, lam, n - 1), _unscale(w, lam, n)
 
 

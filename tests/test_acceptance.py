@@ -121,7 +121,7 @@ def test_a4_fibonacci_factorization_sign():
 
 
 def test_a5_gaussian_and_generalized_binomials():
-    """q-Pascal equals the quotient of products (division oracle) for m <= 30;
+    """The product formula equals the quotient of products (division oracle) for m <= 30;
     cyclotomic exponents lie in {0,1} and reconstruct the polynomial; the
     polynomial route extends the sequence-quotient route past zero terms."""
     one_minus = [Poly([1]) + Poly([0] * j + [-1]) for j in range(31)]

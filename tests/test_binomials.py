@@ -59,6 +59,9 @@ def test_gaussian_structure():
             assert b == gaussian_binomial(m, m - k)
             assert b(1) == math.comb(m, k)
             assert b == quotient_form(m, k)
+            if 0 < k < m:  # the q-Pascal rule, a route that never divides
+                shifted = Poly([0] * k + gaussian_binomial(m - 1, k).coeffs)
+                assert b == gaussian_binomial(m - 1, k - 1) + shifted
 
 
 def totient(n: int) -> int:

@@ -1,4 +1,5 @@
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -228,9 +229,10 @@ def test_run_grid_reports_a_wrong_sequence_value(monkeypatch):
     assert first == {
         "prop34": n5, "eq35": n5, "cor36": n5, "cor35": n5, "eq24": n5, "eq22": n5,
         "eq25_freitag": (("n", 2), ("a", 3)), "eq25_zeitlin": (("n", 1), ("a", 2)),
+        "eq21": (("n", 4),),
     }
-    # eq21 compares two products of the same conjugate pairs, so it cannot see u
-    assert reports["eq21"].status == "pass"
+    # eq21's Phi_4 comes from the Lucasnomial row (5|i)_u, which reads u_5
+    assert reports["eq21"].first_counterexample.lhs == "no exact sign"
 
     # a wrong q^5 reaches eq21's sign and each cell's own failure branch
     reports = _faulty_sweep(monkeypatch, _WrongQ5)
@@ -240,6 +242,52 @@ def test_run_grid_reports_a_wrong_sequence_value(monkeypatch):
     assert lhs_at["eq35"] == (n5, "no rational solution")
     assert lhs_at["eq22"] == (n5, "not five times a square")
     assert lhs_at["cor36"] == (n5, 15129)  # the step w_5^2 = w_10 + 2 q^5 fails first
+
+
+PARAMETRIC_IDS = [i for i, d in REGISTRY.items() if not d.fixed_params]
+
+
+def _count_tables(monkeypatch, grid, ids):
+    """(tables built, most tables alive at once, reports) for one run_grid call."""
+    built, live = [], weakref.WeakSet()
+    most = 0
+
+    class CountingTable(SequenceTable):
+        def __init__(self, params):
+            nonlocal most
+            super().__init__(params)
+            built.append(params)
+            live.add(self)
+            most = max(most, len(live))
+
+    monkeypatch.setattr("lucaskit.identities.SequenceTable", CountingTable)
+    reports = run_grid(grid, ids)
+    return len(built), most, reports
+
+
+def test_run_grid_builds_one_table_per_parameter_pair(monkeypatch):
+    # every identity at one (p, q) reads the same table, and the fixed-parameter
+    # ids share one more at p = 1, q = -1; a table per identity would give 16, 19, 13
+    grid = GridSpec((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)), n_max=12, a_max=3)
+    for ids in (DEFAULT_IDENTITY_IDS, REGISTRY):
+        built, most, reports = _count_tables(monkeypatch, grid, ids)
+        assert built == 5 and most <= 2  # each table is let go once the next is made
+        assert len(reports) == len(ids) + 3 * len(PARAMETRIC_IDS)
+    grid = GridSpec((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)), n_max=12)
+    built, most, reports = _count_tables(monkeypatch, grid, PARAMETRIC_IDS)
+    assert built == 4 and len(reports) == 16
+    assert [r.identity_id for r in reports] == sorted(PARAMETRIC_IDS * 4)
+
+
+def test_run_grid_fixed_ids_never_walk_the_grid(monkeypatch):
+    def walk(self):
+        raise AssertionError("a fixed-parameter request walked the grid")
+
+    monkeypatch.setattr(GridSpec, "p_values", walk)
+    monkeypatch.setattr(GridSpec, "q_values", walk)
+    grid = GridSpec((Fraction(-1000), Fraction(1000)), n_max=12, step=Fraction(1, 1000))
+    built, _, reports = _count_tables(monkeypatch, grid, ["eq24"])
+    assert built == 1 and len(reports) == 1 and reports[0].status == "pass"
 
 
 def test_run_grid_ordering_and_determinism():
