@@ -1,4 +1,4 @@
-"""Layer microbenchmark: recurrences, SequenceTable, fast_pair, sweeps, Gaussian binomials, CLI.
+"""Layer microbenchmark: recurrences, SequenceTable, fast_pair, Phi_n, sweeps, binomials, CLI.
 
 Run from the root of a checkout:
 
@@ -120,13 +120,21 @@ def cases(lk):
         out.append((f"fast_pair({p}, {q}, {n})",
                     lambda p=p, q=q, n=n: seq.fast_pair(params(p, q), n),
                     lambda c, p=p, q=q, n=n: seq.fast_pair(params(p, q), n, c)))
+    # both Phi_n routes, each building its own table
+    for p, q, ns in ((1, -1, (20, 60, 100)), (R(1, 2), R(-1, 3), (20, 60))):
+        for n in ns:
+            for route in (lk.charpoly.phi_product, lk.charpoly.phi_coeff_formula):
+                out.append((f"{route.__name__}({p}, {q}, {n})",
+                            lambda route=route, p=p, q=q, n=n: route(params(p, q), n), None))
     # run_grid builds its SequenceTables itself, so table_count reads how many
     ident = lk.identities
     square = ident.GridSpec((R(-3), R(3)), (R(-3), R(3)), n_max=30)
     parametric = [i for i, d in ident.REGISTRY.items() if not d.fixed_params]
     for label, grid, ids in (("7x7 n_max=30 default ids", square, ident.DEFAULT_IDENTITY_IDS),
                              ("7x7 n_max=30 parametric ids", square, parametric),
-                             ("eq21 n_max=40", ident.GridSpec(n_max=40), ["eq21"])):
+                             ("eq21 n_max=40", ident.GridSpec(n_max=40), ["eq21"]),
+                             ("eq21 + eq21_paper_sign n_max=30", ident.GridSpec(n_max=30),
+                              ["eq21", "eq21_paper_sign"])):
         out.append((f"run_grid {label}", lambda grid=grid, ids=ids: ident.run_grid(grid, ids), None))
     for m, k in ((44, 20), (200, 100)):
         out.append((f"gaussian_binomial({m}, {k})",
@@ -171,6 +179,7 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(Path(args.src).resolve()))
     import lucaskit.binomials
+    import lucaskit.charpoly
     import lucaskit.cli
     import lucaskit.identities
     import lucaskit.sequences

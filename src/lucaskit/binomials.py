@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Poly
-from .sequences import RecurrenceParams, SequenceTable
+from .poly import Poly, _power, _terms_str
+from .sequences import RecurrenceParams, SequenceTable, _table_for
 
 
 def _check_k(m: int, k: int) -> None:
@@ -139,25 +139,11 @@ class HomogeneousBiPoly:
         return HomogeneousBiPoly(self.total_degree, tuple(reversed(self.coeffs)))
 
     def __str__(self) -> str:
-        if all(c == 0 for c in self.coeffs):
-            return "0"
         t = self.total_degree
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            xs = "" if t - i == 0 else ("x" if t - i == 1 else f"x^{t - i}")
-            ys = "" if i == 0 else ("y" if i == 1 else f"y^{i}")
-            mono = xs + ("*" if xs and ys else "") + ys
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _terms_str(
+            (c, "*".join(filter(None, (_power("x", t - i), _power("y", i)))))
+            for i, c in enumerate(self.coeffs)
+        )
 
 
 def homogeneous_f(i: int) -> HomogeneousBiPoly:
@@ -185,8 +171,9 @@ def _lucasnomial_band(
     """(r|k_lo)_u .. (r|k_hi)_u by the Lucasnomial Pascal rule, over Q.
 
     Row m keeps the columns k_lo - (r - m) .. k_hi, clipped to 0 .. m, that row r reads.
+    A passed ``table`` must hold ``params``.
     """
-    t = table if table is not None else SequenceTable(params)
+    t = _table_for(params, table)
     u = [t.u(i) for i in range(r + 1)]
     qu = [params.q * x for x in u]
     one = Fraction(1)
@@ -204,6 +191,8 @@ def generalized_binomial_row(
     params: RecurrenceParams, r: int, table: SequenceTable | None = None
 ) -> list[Fraction]:
     """The row [(r|0)_u, ..., (r|r)_u], every entry a finite rational.
+
+    A passed ``table`` must hold ``params``.
 
     >>> [int(c) for c in generalized_binomial_row(RecurrenceParams(1, -1), 5)]
     [1, 5, 15, 15, 5, 1]
@@ -224,17 +213,14 @@ def generalized_binomial(params: RecurrenceParams, r: int, k: int) -> Fraction:
     return _lucasnomial_band(params, r, k, k)[0]
 
 
-def generalized_binomial_quotient(
-    params: RecurrenceParams, r: int, k: int, table: SequenceTable | None = None
-) -> Fraction:
+def generalized_binomial_quotient(params: RecurrenceParams, r: int, k: int) -> Fraction:
     """(r|k)_u as u_r u_{r-1} ... u_{r-k+1} / (u_k u_{k-1} ... u_1).
 
     Raises ZeroDivisionError when some u_1..u_k vanishes; the Pascal rule
     above is the route that is total.
     """
-    if not 0 <= k <= r:
-        raise ValueError(f"k must lie in [0, {r}], got {k}")
-    t = table if table is not None else SequenceTable(params)
+    _check_k(r, k)
+    t = SequenceTable(params)
     num = Fraction(1)
     den = Fraction(1)
     for i in range(1, k + 1):

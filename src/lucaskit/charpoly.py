@@ -20,7 +20,7 @@ from fractions import Fraction
 from .binomials import generalized_binomial, generalized_binomial_row  # noqa: F401
 from .numeric import FactorizationIncompleteError, is_rational_square, squarefree_decompose
 from .poly import Poly
-from .sequences import FIBONACCI, RecurrenceParams, SequenceTable
+from .sequences import FIBONACCI, RecurrenceParams, SequenceTable, _table_for
 
 
 class FactorizationSignError(ArithmeticError):
@@ -79,27 +79,27 @@ def phi_product(params: RecurrenceParams, n: int, table: SequenceTable | None = 
 
     Conjugation pairs root j with root n - j, so the product is the
     (n+1)//2 quadratics of ``_conjugate_pair`` for j < n/2, times the
-    self-conjugate middle root (x - q^(n/2)) when n is even.
+    self-conjugate middle root (x - q^(n/2)) when n is even. A passed
+    ``table`` must hold ``params``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t = table if table is not None else SequenceTable(params)
+    t = _table_for(params, table)
     phi = Poly([-t.q_power(n // 2), Fraction(1)] if n % 2 == 0 else [Fraction(1)])
     for j in range((n + 1) // 2):
         phi = phi * _conjugate_pair(t, n, j)
     return phi
 
 
-def phi_coeff_formula(
-    params: RecurrenceParams, n: int, table: SequenceTable | None = None
-) -> Poly:
+def phi_coeff_formula(params: RecurrenceParams, n: int, table: SequenceTable | None = None) -> Poly:
     """Phi_n by the closed coefficient formula, degree-consistent form.
 
     The coefficient of x^(n+1-i) is (-1)^i q^(i(i-1)/2) ((n+1)|i)_u for
     0 <= i <= n+1, which reproduces x^2 - p x + q at n = 1 and agrees with
     the root product everywhere it has been swept. All n+2 binomials come
     from one Lucasnomial row, built over Q by the Pascal rule, so this
-    route shares no code with the conjugate-pair product.
+    route shares no code with the conjugate-pair product. A passed
+    ``table`` must hold ``params``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -116,10 +116,11 @@ def quadratic_factor(params: RecurrenceParams, n: int, table: SequenceTable | No
 
     The j = 0 conjugate pair of Phi_n: whenever sigma^n != tau^n its roots
     are two of Phi_n's roots (j = 0 and j = n), so f_n divides Phi_n exactly.
+    A passed ``table`` must hold ``params``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _conjugate_pair(table if table is not None else SequenceTable(params), n, 0)
+    return _conjugate_pair(_table_for(params, table), n, 0)
 
 
 def fibonacci_factorization(n: int, table: SequenceTable | None = None) -> tuple[Poly, Poly, int]:
@@ -133,10 +134,11 @@ def fibonacci_factorization(n: int, table: SequenceTable | None = None) -> tuple
     Phi_n comes from the Lucasnomial row of ``phi_coeff_formula``, which
     reads u; the quadratic and the tail are conjugate-pair products, which
     read w. The two sides share no code, so a wrong u_n or w_n shows too.
+    A passed ``table`` must hold p = 1, q = -1.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    t = table if table is not None else SequenceTable(FIBONACCI)
+    t = _table_for(FIBONACCI, table)
     phi = phi_coeff_formula(FIBONACCI, n, table=t)
     quad = quadratic_factor(FIBONACCI, n, table=t)
     tail = phi_product(FIBONACCI, n - 2, table=t).compose_negate()

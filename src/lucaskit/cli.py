@@ -177,8 +177,7 @@ def _emit(command: str, opts: _Options, out: _Output) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow(["" if row.get(c) is None else str(row.get(c)) for c in columns])
+        writer.writerows([row.get(c) for c in columns] for row in rows)
         text = prefix + buf.getvalue()
     else:
         text = prefix + "".join(line + "\n" for line in out.plain())

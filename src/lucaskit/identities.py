@@ -27,6 +27,7 @@ from .sequences import (
     DegenerateDiscriminantError,
     RecurrenceParams,
     SequenceTable,
+    _table_for,
 )
 
 PASS = "pass"
@@ -60,7 +61,7 @@ class IdentityReport:
     """Outcome of one identity swept over an index range at fixed parameters."""
 
     identity_id: str
-    params: RecurrenceParams | None
+    params: RecurrenceParams
     index_range: tuple[int, int]
     a_range: tuple[int, int] | None
     status: str
@@ -88,8 +89,8 @@ class IdentityReport:
             }
         return {
             "identity": self.identity_id,
-            "p": str(self.params.p) if self.params is not None else None,
-            "q": str(self.params.q) if self.params is not None else None,
+            "p": str(self.params.p),
+            "q": str(self.params.q),
             "n_min": self.index_range[0],
             "n_max": self.index_range[1],
             "a_max": self.a_range[1] if self.a_range is not None else None,
@@ -145,9 +146,10 @@ class GridSpec:
 
 # -- identity cells -------------------------------------------------------------
 # A cell evaluates one identity at one index tuple. The sweep runner calls it
-# as cell(*indices, table) on the one table run_grid builds per (p, q); the
-# public check_* functions wrap the same cell. Cells read p^2 - 4q as
-# table.params.discriminant, which is computed once per table and cached.
+# as cell(*indices, table) on the one table run_grid builds per (p, q). The
+# public check_* functions wrap the same cell: those at given (p, q) build their
+# own table, and those at p = 1, q = -1 also accept one, which must hold that
+# pair. Cells read p^2 - 4q as table.params.discriminant, cached per table.
 
 
 def _eq_outcome(lhs, rhs) -> CheckOutcome:
@@ -223,15 +225,12 @@ def _ratio_check(num: Fraction, den: Fraction) -> CheckOutcome:
 # -- single-instance checks -------------------------------------------------
 
 
-def check_prop34(params: RecurrenceParams, n: int, table: SequenceTable | None = None) -> bool:
+def check_prop34(params: RecurrenceParams, n: int) -> bool:
     """w_n^2 - 4 q^n == u_n^2 (p^2 - 4q), exactly."""
-    t = table if table is not None else SequenceTable(params)
-    return _prop34(n, t).status == PASS
+    return _prop34(n, SequenceTable(params)).status == PASS
 
 
-def check_eq35_shape(
-    params: RecurrenceParams, n: int, table: SequenceTable | None = None
-) -> Fraction | None:
+def check_eq35_shape(params: RecurrenceParams, n: int) -> Fraction | None:
     """Solve z^2 (p^2 - 4q) = w_n^2 - 4 q^n for z >= 0 by extracting a root.
 
     Returns the nonnegative rational solution, which equals |u_n|, or None
@@ -241,20 +240,17 @@ def check_eq35_shape(
     """
     if params.is_degenerate:
         raise DegenerateDiscriminantError("z^2 * 0 = w_n^2 - 4 q^n has no unique solution")
-    t = table if table is not None else SequenceTable(params)
-    return _eq35_root(n, t)
+    return _eq35_root(n, SequenceTable(params))
 
 
-def check_cor36(params: RecurrenceParams, n: int, table: SequenceTable | None = None) -> bool:
+def check_cor36(params: RecurrenceParams, n: int) -> bool:
     """w_{2n} - 2 q^n == u_n^2 (p^2 - 4q), plus the step w_n^2 == w_{2n} + 2 q^n."""
-    t = table if table is not None else SequenceTable(params)
-    return _cor36(n, t).status == PASS
+    return _cor36(n, SequenceTable(params)).status == PASS
 
 
-def check_eq24(n: int, table: SequenceTable | None = None) -> bool:
+def check_eq24(n: int) -> bool:
     """L_n^2 - 4 (-1)^n == 5 F_n^2: prop34 at p = 1, q = -1."""
-    t = table if table is not None else SequenceTable(FIBONACCI)
-    return _prop34(n, t).status == PASS
+    return check_prop34(FIBONACCI, n)
 
 
 def check_eq22(n: int, table: SequenceTable | None = None) -> int:
@@ -262,9 +258,9 @@ def check_eq22(n: int, table: SequenceTable | None = None) -> int:
 
     Raises ArithmeticError when no such integer exists. The caller compares
     the result against F_n; this function finds A_n by root extraction.
+    A passed ``table`` must hold p = 1, q = -1, as in the eq25 checks below.
     """
-    t = table if table is not None else SequenceTable(FIBONACCI)
-    root = _eq35_root(n, t)
+    root = _eq35_root(n, _table_for(FIBONACCI, table))
     if root is None or root.denominator != 1:
         raise ArithmeticError(f"L_{n}^2 - 4(-1)^{n} is not five times a perfect square")
     return int(root)
@@ -272,7 +268,7 @@ def check_eq22(n: int, table: SequenceTable | None = None) -> int:
 
 def check_eq25_freitag(n: int, a: int, table: SequenceTable | None = None) -> CheckOutcome:
     """(L_n^2 - (-1)^a L_{n+a}^2) / (F_n^2 - (-1)^a F_{n+a}^2) == 5."""
-    t = table if table is not None else SequenceTable(FIBONACCI)
+    t = _table_for(FIBONACCI, table)
     s = -1 if a % 2 else 1
     num = t.w(n) ** 2 - s * t.w(n + a) ** 2
     den = t.u(n) ** 2 - s * t.u(n + a) ** 2
@@ -283,7 +279,7 @@ def check_eq25_freitag_paper_form(
     n: int, a: int, table: SequenceTable | None = None
 ) -> CheckOutcome:
     """Diagnostic: the printed denominator F_n - (-1)^a F_{n+a}^2, first term unsquared."""
-    t = table if table is not None else SequenceTable(FIBONACCI)
+    t = _table_for(FIBONACCI, table)
     s = -1 if a % 2 else 1
     num = t.w(n) ** 2 - s * t.w(n + a) ** 2
     den = t.u(n) - s * t.u(n + a) ** 2
@@ -292,7 +288,7 @@ def check_eq25_freitag_paper_form(
 
 def check_eq25_zeitlin(n: int, a: int, table: SequenceTable | None = None) -> CheckOutcome:
     """(L_n^2 + L_{n+2a}^2 - 8 (-1)^n) / (F_n^2 + F_{n+2a}^2) == 5."""
-    t = table if table is not None else SequenceTable(FIBONACCI)
+    t = _table_for(FIBONACCI, table)
     num = t.w(n) ** 2 + t.w(n + 2 * a) ** 2 - 8 * t.q_power(n)
     den = t.u(n) ** 2 + t.u(n + 2 * a) ** 2
     return _ratio_check(num, den)
@@ -302,17 +298,20 @@ def check_eq25_zeitlin_paper_sign(
     n: int, a: int, table: SequenceTable | None = None
 ) -> CheckOutcome:
     """Diagnostic: the printed +8 (-1)^n term; fails (e.g. 9/5 at n=1, a=1)."""
-    t = table if table is not None else SequenceTable(FIBONACCI)
+    t = _table_for(FIBONACCI, table)
     num = t.w(n) ** 2 + t.w(n + 2 * a) ** 2 + 8 * t.q_power(n)
     den = t.u(n) ** 2 + t.u(n + 2 * a) ** 2
     return _ratio_check(num, den)
 
 
 def pythagorean_like(p, n: int, table: SequenceTable | None = None):
-    """For q = 1: the triple (w_n, 2 u_n, p u_n) with x^2 + y^2 - z^2 = 4, p y = 2 z."""
+    """For q = 1: the triple (w_n, 2 u_n, p u_n) with x^2 + y^2 - z^2 = 4, p y = 2 z.
+
+    A passed ``table`` must hold (p, 1).
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    t = table if table is not None else SequenceTable(RecurrenceParams(as_fraction(p), Fraction(1)))
+    t = _table_for(RecurrenceParams(p, 1), table)
     return t.w(n), 2 * t.u(n), t.params.p * t.u(n)
 
 

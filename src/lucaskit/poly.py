@@ -25,6 +25,27 @@ def _exact_coeff_div(a, b):
     return a / b
 
 
+def _power(var: str, e: int) -> str:
+    """var^e as text: "" at e = 0 and var at e = 1."""
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+
+
+def _terms_str(terms: Iterable[tuple]) -> str:
+    """(coefficient, monomial text) pairs as a signed sum, skipping zeros; "0" if none is left."""
+    parts = []
+    for c, mono in terms:
+        if c == 0:
+            continue
+        if not mono:
+            term = str(c)
+        else:
+            term = mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}"
+        if parts:
+            term = f"- {term[1:]}" if term.startswith("-") else f"+ {term}"
+        parts.append(term)
+    return " ".join(parts) or "0"
+
+
 class Poly:
     """Polynomial stored as an ascending coefficient list, normalized."""
 
@@ -196,28 +217,4 @@ class Poly:
         return f"Poly({self.coeffs!r})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self[i]
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(c)
-            else:
-                xpow = "x" if i == 1 else f"x^{i}"
-                if c == 1:
-                    term = xpow
-                elif c == -1:
-                    term = f"-{xpow}"
-                else:
-                    term = f"{c}*{xpow}"
-            if parts:
-                if term.startswith("-"):
-                    parts.append("-")
-                    term = term[1:]
-                else:
-                    parts.append("+")
-            parts.append(term)
-        return " ".join(parts)
+        return _terms_str((c, _power("x", i)) for i, c in reversed(list(enumerate(self.coeffs))))

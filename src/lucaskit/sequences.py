@@ -146,6 +146,19 @@ class SequenceTable:
         return value
 
 
+def _table_for(params: RecurrenceParams, table: SequenceTable | None = None) -> SequenceTable:
+    """``table`` when it holds ``params``, a new table when it is None.
+
+    A table for another pair raises ValueError: every value would be read
+    from it, so the answer would belong to neither pair.
+    """
+    if table is None:
+        return SequenceTable(params)
+    if table.params is params or table.params == params:
+        return table
+    raise ValueError(f"the table holds {table.params}, not {params}")
+
+
 def iter_pair(params: RecurrenceParams, n: int, counter=None) -> tuple[Fraction, Fraction]:
     """(u_n, w_n) by running both recurrences n steps. Baseline: 4n mults."""
     if n < 0:
@@ -210,21 +223,21 @@ def w_binet(params: RecurrenceParams, n: int) -> Fraction:
     return rational_value(sigma**n + tau**n, f"w_{n} closed form")
 
 
-def w_from_u(params: RecurrenceParams, n: int, table: SequenceTable | None = None) -> Fraction:
+def w_from_u(params: RecurrenceParams, n: int) -> Fraction:
     """w_n rebuilt from u values alone: w_n = u_{n+1} - q u_{n-1} for n >= 1."""
-    t = table if table is not None else SequenceTable(params)
     if n == 0:
         return Fraction(2)
+    t = SequenceTable(params)
     return t.u(n + 1) - params.q * t.u(n - 1)
 
 
-def u_from_w(params: RecurrenceParams, n: int, table: SequenceTable | None = None) -> Fraction:
+def u_from_w(params: RecurrenceParams, n: int) -> Fraction:
     """u_n rebuilt from w values: u_n = (w_{n+1} - q w_{n-1}) / (p^2 - 4q)."""
     if params.is_degenerate:
         raise DegenerateDiscriminantError("repeated root: u cannot be recovered from w")
-    t = table if table is not None else SequenceTable(params)
     if n == 0:
         return Fraction(0)
+    t = SequenceTable(params)
     return (t.w(n + 1) - params.q * t.w(n - 1)) / params.discriminant
 
 

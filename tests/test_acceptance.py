@@ -150,7 +150,7 @@ def test_a5_gaussian_and_generalized_binomials():
                     if any(table.u(i) == 0 for i in range(1, k + 1)):
                         continue
                     assert generalized_binomial(params, r, k) == (
-                        generalized_binomial_quotient(params, r, k, table)
+                        generalized_binomial_quotient(params, r, k)
                     )
 
     stressed = RecurrenceParams(1, 1)

@@ -131,6 +131,14 @@ def test_bivariate_F_examples():
     assert bivariate_F(5, 0).coeffs == (1,)
 
 
+def test_homogeneous_bipoly_str():
+    assert str(bivariate_F(3, 1)) == "x^2 + x*y + y^2"
+    assert str(HomogeneousBiPoly(3, (Fraction(-1, 2), 0, -1, 3))) == "-1/2*x^3 - x*y^2 + 3*y^3"
+    assert str(HomogeneousBiPoly(1, (2, Fraction(-2, 3)))) == "2*x - 2/3*y"
+    assert str(HomogeneousBiPoly(0, (Fraction(-3, 4),))) == "-3/4"
+    assert str(HomogeneousBiPoly(2, (0, 0, 0))) == "0"
+
+
 def test_bivariate_F_structure():
     for r in range(11):
         for k in range(r + 1):
@@ -180,9 +188,7 @@ def test_polynomial_route_equals_quotient_route(p, q, r):
     for k in range(r + 1):
         if any(table.u(i) == 0 for i in range(1, k + 1)):
             continue
-        assert generalized_binomial(params, r, k) == generalized_binomial_quotient(
-            params, r, k, table
-        )
+        assert generalized_binomial(params, r, k) == generalized_binomial_quotient(params, r, k)
 
 
 def test_quotient_route_range_check():

@@ -1,5 +1,7 @@
 import json
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -311,3 +313,58 @@ def test_usage_errors_from_argparse(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "seq" in out and "verify" in out
+
+
+_MALFORMED = ("1.5", "1/0", "x", "-", "")
+_RATIONALS = ("0", "1", "-1", "2", "-3", "1/2", "-2/3", "3/2")
+
+
+def _random_argv(rng: random.Random) -> list[str]:
+    """One argv over every flag of one subcommand, with small values and some malformed ones."""
+    step = Fraction(1, rng.randint(1, 3))
+
+    def window() -> str:  # at most two grid values
+        lo = Fraction(rng.choice(_RATIONALS))
+        return f"{lo}:{lo + step * rng.randint(0, 1)}"
+
+    def upto(n: int) -> str:
+        return str(rng.randint(0, n))
+
+    def ids() -> str:
+        return rng.choice(["all", "nosuch", ",".join(rng.sample(sorted(cli.REGISTRY), 2))])
+
+    def rational() -> str:
+        return rng.choice(_RATIONALS)
+
+    pq = {"-p": rational, "-q": rational}
+    flags = {
+        "seq": {**pq, "-n": lambda: upto(30)},
+        "phi": {**pq, "-n": lambda: upto(30), "--factor": None},
+        "binom": {**pq, "-r": lambda: upto(30), "-k": lambda: upto(30)},
+        "gauss": {"-m": lambda: upto(30), "-k": lambda: upto(30), "--cyclotomic": None},
+        "verify": {
+            "--p-range": window, "--q-range": window, "--step": lambda: str(step),
+            "--n-max": lambda: upto(12), "--a-max": lambda: upto(12),
+            "--identities": ids, "--strict-diagnostics": None,
+        },
+    }
+    command = rng.choice(sorted(flags))
+    common = {"--format": lambda: rng.choice(["plain", "json", "csv"]), "--timestamps": None}
+    argv = [command]
+    for flag, value in {**flags[command], **common}.items():
+        # --n-max defaults to 50, which is no small sweep
+        if flag != "--n-max" and rng.random() < 0.15:
+            continue
+        argv.append(flag)
+        if value is not None:
+            argv.append(rng.choice(_MALFORMED) if rng.random() < 0.08 else value())
+    return argv
+
+
+def test_random_small_argv_never_escape_main(capsys):
+    rng = random.Random(20131)
+    for _ in range(400):
+        argv = _random_argv(rng)
+        code = main(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv

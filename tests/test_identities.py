@@ -1,3 +1,4 @@
+import inspect
 import json
 import weakref
 from fractions import Fraction
@@ -5,6 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lucaskit.binomials import generalized_binomial_quotient, generalized_binomial_row
+from lucaskit.charpoly import (
+    fibonacci_factorization,
+    phi_coeff_formula,
+    phi_product,
+    quadratic_factor,
+)
 from lucaskit.identities import (
     DEFAULT_IDENTITY_IDS,
     REGISTRY,
@@ -28,6 +36,8 @@ from lucaskit.sequences import (
     DegenerateDiscriminantError,
     RecurrenceParams,
     SequenceTable,
+    u_from_w,
+    w_from_u,
 )
 
 int_params = st.integers(min_value=-8, max_value=8)
@@ -69,7 +79,7 @@ def test_cor36_universal(p, q, n):
 def test_eq24_and_eq22():
     table = SequenceTable(FIBONACCI)
     for n in range(80):
-        assert check_eq24(n, table)
+        assert check_eq24(n)
         assert check_eq22(n, table) == table.u(n)
     assert check_eq22(0) == 0
     assert check_eq22(4) == 3
@@ -327,3 +337,27 @@ def test_to_record_field_names():
     }
     assert record["identity"] == "eq25_freitag"
     assert record["p"] == "1" and record["q"] == "-1"
+
+
+@pytest.mark.parametrize("call, args, pair", [
+    pytest.param(phi_product, (FIBONACCI, 3), (1, -1), id="phi_product"),
+    pytest.param(phi_coeff_formula, (FIBONACCI, 3), (1, -1), id="phi_coeff_formula"),
+    pytest.param(quadratic_factor, (FIBONACCI, 3), (1, -1), id="quadratic_factor"),
+    pytest.param(generalized_binomial_row, (FIBONACCI, 5), (1, -1), id="generalized_binomial_row"),
+    pytest.param(pythagorean_like, (2, 3), (2, 1), id="pythagorean_like"),
+    pytest.param(fibonacci_factorization, (4,), (1, -1), id="fibonacci_factorization"),
+    pytest.param(check_eq22, (4,), (1, -1), id="check_eq22"),
+    pytest.param(check_eq25_freitag, (2, 1), (1, -1), id="check_eq25_freitag"),
+])
+def test_a_table_for_another_pair_is_refused(call, args, pair):
+    # every value would be read from the table, so the answer would belong to neither pair
+    with pytest.raises(ValueError, match="table holds"):
+        call(*args, table=SequenceTable(RecurrenceParams(3, -2)))
+    # an equal pair in another RecurrenceParams object is the same pair
+    assert call(*args, table=SequenceTable(RecurrenceParams(*pair))) == call(*args)
+
+
+def test_functions_that_build_their_own_table_accept_none():
+    for f in (check_prop34, check_cor36, check_eq35_shape, check_eq24,
+              generalized_binomial_quotient, w_from_u, u_from_w):
+        assert "table" not in inspect.signature(f).parameters, f.__name__

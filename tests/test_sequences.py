@@ -156,12 +156,12 @@ def test_int_kernel_does_no_fraction_arithmetic(monkeypatch):
 def test_conversions_between_u_and_w(p, q, n):
     params = RecurrenceParams(p, q)
     t = SequenceTable(params)
-    assert w_from_u(params, n, t) == t.w(n)
+    assert w_from_u(params, n) == t.w(n)
     if params.is_degenerate:
         with pytest.raises(DegenerateDiscriminantError):
-            u_from_w(params, n, t)
+            u_from_w(params, n)
     else:
-        assert u_from_w(params, n, t) == t.u(n)
+        assert u_from_w(params, n) == t.u(n)
 
 
 def test_w_from_u_alternative_forms_agree():
@@ -171,7 +171,7 @@ def test_w_from_u_alternative_forms_agree():
             params = RecurrenceParams(p, q)
             t = SequenceTable(params)
             for n in range(1, 15):
-                w = w_from_u(params, n, t)
+                w = w_from_u(params, n)
                 assert w == params.p * t.u(n) - 2 * params.q * t.u(n - 1)
                 assert t.w(n - 1) == 2 * t.u(n) - params.p * t.u(n - 1)
 
