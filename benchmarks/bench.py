@@ -1,4 +1,4 @@
-"""Layer microbenchmark: recurrences, SequenceTable, fast_pair, Phi_n, sweeps, binomials, CLI.
+"""Layer microbenchmark: recurrences, SequenceTable, fast_pair, Phi_n, Poly, sweeps, binomials, CLI.
 
 Run from the root of a checkout:
 
@@ -12,7 +12,10 @@ reports the median wall time of ``-k`` runs (time.perf_counter), and from
 one extra untimed run its deterministic operation counts (multiplications,
 ``Fraction`` operations and ``SequenceTable`` constructions) and the largest
 operand in bits. The ``lucaskit ...`` cases call ``cli.main`` in-process
-with stdout discarded. Stdlib only.
+with stdout and stderr discarded; the two smallest ones (a one-row ``seq``
+and a ``verify`` refused for its format) cost little beyond parsing argv
+and config, so they show what the CLI's option handling costs per call.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import platform
 import statistics
 import sys
 import time
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,6 +129,16 @@ def cases(lk):
             for route in (lk.charpoly.phi_product, lk.charpoly.phi_coeff_formula):
                 out.append((f"{route.__name__}({p}, {q}, {n})",
                             lambda route=route, p=p, q=q, n=n: route(params(p, q), n), None))
+    # Poly products and divisions on the operands phi and phi --factor meet
+    phi_80 = lk.charpoly.phi_product(params(1, -1), 80)
+    phi_40 = lk.charpoly.phi_product(params(R(1, 2), R(-1, 3)), 40)
+    quad_80 = lk.charpoly.quadratic_factor(params(1, -1), 80)
+    product = phi_80 * phi_40
+    out.append(("Poly.__mul__ Phi_80(1, -1) * Phi_40(1/2, -1/3)", lambda: phi_80 * phi_40, None))
+    out.append(("divmod Phi_80(1, -1) by its quadratic factor",
+                lambda: divmod(phi_80, quad_80), None))
+    out.append(("divmod Phi_80(1, -1) * Phi_40(1/2, -1/3) by Phi_40(1/2, -1/3)",
+                lambda: divmod(product, phi_40), None))
     # run_grid builds its SequenceTables itself, so table_count reads how many
     ident = lk.identities
     square = ident.GridSpec((R(-3), R(3)), (R(-3), R(3)), n_max=30)
@@ -134,16 +147,26 @@ def cases(lk):
                              ("7x7 n_max=30 parametric ids", square, parametric),
                              ("eq21 n_max=40", ident.GridSpec(n_max=40), ["eq21"]),
                              ("eq21 + eq21_paper_sign n_max=30", ident.GridSpec(n_max=30),
-                              ["eq21", "eq21_paper_sign"])):
+                              ["eq21", "eq21_paper_sign"]),
+                             ("eq21 n_max=100", ident.GridSpec(n_max=100), ["eq21"])):
         out.append((f"run_grid {label}", lambda grid=grid, ids=ids: ident.run_grid(grid, ids), None))
+    square_100 = ident.GridSpec((R(-3), R(3)), (R(-3), R(3)), n_max=100)
+    for i in parametric:
+        out.append((f"run_grid 7x7 n_max=100 {i}",
+                    lambda i=i: ident.run_grid(square_100, [i]), None))
     for m, k in ((44, 20), (200, 100)):
         out.append((f"gaussian_binomial({m}, {k})",
                     lambda m=m, k=k: lk.binomials.gaussian_binomial(m, k), None))
-    for argv in (["phi", "-p", "2", "-q", "3", "-n", "12"],
-                 ["gauss", "-m", "26", "-k", "9", "--cyclotomic"]):
+    for argv in (["seq", "-p", "1", "-q", "-1", "-n", "0"],
+                 ["verify", "--identities", ",", "--format", "xml"],
+                 ["phi", "-p", "2", "-q", "3", "-n", "12"],
+                 ["gauss", "-m", "26", "-k", "9", "--cyclotomic"],
+                 ["phi", "-p", "1", "-q", "-1", "-n", "80"],
+                 ["verify", "--p-range", "-3:3", "--q-range", "-3:3", "--n-max", "100",
+                  "--identities", "all"]):
         def call(argv=argv):
-            with redirect_stdout(io.StringIO()):
-                return lk.cli.main(argv)
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                lk.cli.main(argv)  # an exit code is no operand: bits reads 0
         out.append((f"lucaskit {' '.join(argv)}", call, None))
     return out
 

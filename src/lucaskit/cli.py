@@ -14,6 +14,14 @@ and decimal floats are rejected. Output is deterministic byte for byte;
 input error (including an answer with more digits than Python's int/str
 conversion limit, PYTHONINTMAXSTRDIGITS), 3 internal inconsistency (two
 exact constructions disagree, or an arithmetic error escaped a computation).
+
+Every flag is declared once, in the option table ``_COMMANDS``: each
+subcommand names its handler, its help line and its options in order, and
+each option its flag, parser, default (None: required), help, metavar and
+JSON params name. The argparse tree, the flag > config file > default merge
+with its leftover-key check, the JSON ``params`` echo and the flags whose
+value may start with "-<digit>" are all built from that table, so handlers
+receive parsed values and keep only their computation and layouts.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Callable
 
 from .binomials import gaussian_binomial, gaussian_cyclotomic_factorization, generalized_binomial
@@ -88,6 +97,19 @@ def _parse_bool(text: str, what: str) -> bool:
     raise UsageError(f"{what}: cannot parse {text!r} as a boolean")
 
 
+def _parse_format(text: str, what: str) -> str:
+    if text not in FORMATS:
+        raise UsageError(f"{what} must be one of {', '.join(FORMATS)}, got {text!r}")
+    return text
+
+
+def _parse_ids(text: str, what: str) -> tuple[str, ...]:
+    """The requested identity ids; an empty list is refused by ``_cmd_verify``."""
+    if text.strip() == "all":
+        return tuple(REGISTRY)
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
 def _load_config(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -106,73 +128,33 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-class _Options:
-    """Merged view of CLI flags and an optional config file; flags win."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-
-    def value(self, attr: str, default: str | None = None) -> str | None:
-        given = getattr(self.args, attr)
-        if given is not None:
-            self.cfg.pop(attr.replace("_", "-"), None)
-            return given
-        from_cfg = self.cfg.pop(attr.replace("_", "-"), None)
-        return from_cfg if from_cfg is not None else default
-
-    def require(self, attr: str, flag: str) -> str:
-        got = self.value(attr)
-        if got is None:
-            raise UsageError(f"missing required option {flag}")
-        return got
-
-    def flag(self, attr: str) -> bool:
-        key = attr.replace("_", "-")
-        if getattr(self.args, attr, False):
-            self.cfg.pop(key, None)
-            return True
-        raw = self.cfg.pop(key, None)
-        return _parse_bool(raw, key) if raw is not None else False
-
-    def finish(self) -> None:
-        """Read the output flags and refuse leftover config keys, before any work starts."""
-        self.fmt = self.value("format", "plain")
-        if self.fmt not in FORMATS:
-            raise UsageError(f"--format must be one of {', '.join(FORMATS)}, got {self.fmt!r}")
-        self.timestamps = self.flag("timestamps")
-        if self.cfg:
-            raise UsageError("unknown config keys: " + ", ".join(sorted(self.cfg)))
-
-
 # -- output rendering -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Output:
-    """A handler's result: JSON params and records, plus its csv and plain layouts.
+    """A handler's result: JSON records, plus its csv and plain layouts.
 
     ``csv`` returns (columns, rows) and ``plain`` returns the lines; only the
     one for the requested format is called.
     """
 
-    params: dict
     records: list[dict]
     csv: Callable[[], tuple[list[str], list[dict]]]
     plain: Callable[[], list[str]]
     code: int = 0
 
 
-def _emit(command: str, opts: _Options, out: _Output) -> int:
-    """Write ``out`` to stdout in the format ``opts`` asked for; return the exit code."""
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds") if opts.timestamps else None
+def _emit(command: str, fmt: str, timestamps: bool, params: dict, out: _Output) -> int:
+    """Write ``out`` to stdout in format ``fmt``; return the exit code."""
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds") if timestamps else None
     prefix = f"# generated_at: {stamp}\n" if stamp else ""
-    if opts.fmt == "json":
-        doc: dict = {"command": command, "params": out.params, "records": out.records}
+    if fmt == "json":
+        doc: dict = {"command": command, "params": params, "records": out.records}
         if stamp:
             doc["meta"] = {"generated_at": stamp}
         text = json.dumps(doc, indent=2) + "\n"
-    elif opts.fmt == "csv":
+    elif fmt == "csv":
         columns, rows = out.csv()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -192,29 +174,17 @@ def _coeff_strings(poly: Poly) -> list[str]:
 # -- subcommand handlers ----------------------------------------------------------
 
 
-def _cmd_seq(opts: _Options) -> _Output:
-    p = _parse_rational(opts.require("p", "-p"), "-p")
-    q = _parse_rational(opts.require("q", "-q"), "-q")
-    n_max = _parse_int(opts.require("n", "-n"), "-n", minimum=0)
-    opts.finish()
-
+def _cmd_seq(p: Fraction, q: Fraction, n: int) -> _Output:
     table = SequenceTable(RecurrenceParams(p, q))
-    records = [{"n": i, "u": str(table.u(i)), "w": str(table.w(i))} for i in range(n_max + 1)]
+    records = [{"n": i, "u": str(table.u(i)), "w": str(table.w(i))} for i in range(n + 1)]
     return _Output(
-        {"p": str(p), "q": str(q), "n_max": n_max},
         records,
         csv=lambda: (["n", "u", "w"], records),
         plain=lambda: ["n u w"] + [f"{r['n']} {r['u']} {r['w']}" for r in records],
     )
 
 
-def _cmd_phi(opts: _Options) -> _Output:
-    p = _parse_rational(opts.require("p", "-p"), "-p")
-    q = _parse_rational(opts.require("q", "-q"), "-q")
-    n = _parse_int(opts.require("n", "-n"), "-n", minimum=0)
-    factor = opts.flag("factor")
-    opts.finish()
-
+def _cmd_phi(p: Fraction, q: Fraction, n: int, factor: bool) -> _Output:
     params = RecurrenceParams(p, q)
     table = SequenceTable(params)
     phi = phi_product(params, n, table=table)
@@ -251,7 +221,6 @@ def _cmd_phi(opts: _Options) -> _Output:
         return ["part", "index", "value"], rows
 
     return _Output(
-        {"p": str(p), "q": str(q), "n": n, "factor": factor},
         [record],
         csv=csv_rows,
         plain=lambda: [
@@ -261,32 +230,20 @@ def _cmd_phi(opts: _Options) -> _Output:
     )
 
 
-def _cmd_binom(opts: _Options) -> _Output:
-    p = _parse_rational(opts.require("p", "-p"), "-p")
-    q = _parse_rational(opts.require("q", "-q"), "-q")
-    r = _parse_int(opts.require("r", "-r"), "-r", minimum=0)
-    k = _parse_int(opts.require("k", "-k"), "-k")
-    opts.finish()
-
+def _cmd_binom(p: Fraction, q: Fraction, r: int, k: int) -> _Output:
     try:
         value = generalized_binomial(RecurrenceParams(p, q), r, k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     record = {"r": r, "k": k, "value": str(value)}
     return _Output(
-        {"p": str(p), "q": str(q), "r": r, "k": k},
         [record],
         csv=lambda: (["p", "q", "r", "k", "value"], [{"p": str(p), "q": str(q), **record}]),
         plain=lambda: [str(value)],
     )
 
 
-def _cmd_gauss(opts: _Options) -> _Output:
-    m = _parse_int(opts.require("m", "-m"), "-m", minimum=0)
-    k = _parse_int(opts.require("k", "-k"), "-k")
-    cyclotomic = opts.flag("cyclotomic")
-    opts.finish()
-
+def _cmd_gauss(m: int, k: int, cyclotomic: bool) -> _Output:
     try:
         poly = gaussian_binomial(m, k)
         factors = gaussian_cyclotomic_factorization(m, k) if cyclotomic else None
@@ -310,7 +267,7 @@ def _cmd_gauss(opts: _Options) -> _Output:
             lines.append("cyclotomic_factors: " + " ".join(f"{d}:{e}" for d, e in factors))
         return lines
 
-    return _Output({"m": m, "k": k, "cyclotomic": cyclotomic}, [record], csv_rows, plain_lines)
+    return _Output([record], csv_rows, plain_lines)
 
 
 def _counterexample_text(ce: dict) -> str:
@@ -341,46 +298,25 @@ _VERIFY_COLUMNS = [
 ]
 
 
-def _cmd_verify(opts: _Options) -> _Output:
-    p_range = _parse_range(opts.value("p_range", "1:1"), "--p-range")
-    q_range = _parse_range(opts.value("q_range", "-1:-1"), "--q-range")
-    n_max = _parse_int(opts.value("n_max", "50"), "--n-max", minimum=1)
-    a_max = _parse_int(opts.value("a_max", "10"), "--a-max", minimum=0)
-    step = _parse_rational(opts.value("step", "1"), "--step")
-    ids_text = opts.value("identities")
-    strict = opts.flag("strict_diagnostics")
-    opts.finish()
-
-    if ids_text is None:
-        ids: tuple[str, ...] = DEFAULT_IDENTITY_IDS
-    elif ids_text.strip() == "all":
-        ids = tuple(REGISTRY)
-    else:
-        ids = tuple(t.strip() for t in ids_text.split(",") if t.strip())
-        if not ids:
-            raise UsageError("--identities: empty identity list")
+def _cmd_verify(p_range: tuple[Fraction, Fraction], q_range: tuple[Fraction, Fraction],
+                n_max: int, a_max: int, step: Fraction, identities: tuple[str, ...],
+                strict_diagnostics: bool) -> _Output:
+    # checked here, after the output flags and config keys, as those errors come first
+    if not identities:
+        raise UsageError("--identities: empty identity list")
     try:
         grid = GridSpec(p_range, q_range, n_max, a_max, step)
-        reports = run_grid(grid, ids)
+        reports = run_grid(grid, identities)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
     records = [r.to_record() for r in reports]
-    params = {
-        "p_range": f"{p_range[0]}:{p_range[1]}",
-        "q_range": f"{q_range[0]}:{q_range[1]}",
-        "n_max": n_max,
-        "a_max": a_max,
-        "step": str(step),
-        "identities": sorted(set(ids)),
-        "strict_diagnostics": strict,
-    }
     failed = any(
-        report.status == "fail" and (strict or not REGISTRY[report.identity_id].diagnostic)
+        report.status == "fail"
+        and (strict_diagnostics or not REGISTRY[report.identity_id].diagnostic)
         for report in reports
     )
     return _Output(
-        params,
         records,
         csv=lambda: (_VERIFY_COLUMNS, [
             {**rec, "counterexample": _counterexample_text(rec["counterexample"])}
@@ -392,34 +328,108 @@ def _cmd_verify(opts: _Options) -> _Output:
     )
 
 
-# -- parser assembly ---------------------------------------------------------------
+# -- the option table ---------------------------------------------------------------
 
-_HANDLERS = {
-    "seq": _cmd_seq,
-    "phi": _cmd_phi,
-    "binom": _cmd_binom,
-    "gauss": _cmd_gauss,
-    "verify": _cmd_verify,
+
+@dataclass(frozen=True)
+class _Opt:
+    """One flag, declared once: ``parse(text, what)`` turns the text of the flag,
+    else of the config file, else ``default`` (None: required) into the value
+    the handler receives as ``dest``. A ``_parse_bool`` option is a switch.
+    ``echo`` names the value in the JSON params when that is not ``dest``.
+    """
+
+    flag: str
+    parse: Callable[[str, str], object]
+    default: str | None = None
+    help: str | None = None
+    metavar: str | None = None
+    echo: str | None = None
+
+    @cached_property
+    def key(self) -> str:
+        """The config-file key: the flag without its dashes."""
+        return self.flag.lstrip("-")
+
+    @cached_property
+    def dest(self) -> str:
+        return self.key.replace("-", "_")
+
+
+@dataclass(frozen=True)
+class _Command:
+    handler: Callable[..., _Output]
+    help: str
+    options: tuple[_Opt, ...]
+
+
+_parse_natural = partial(_parse_int, minimum=0)
+_P = _Opt("-p", _parse_rational, help="rational p")
+_Q = _Opt("-q", _parse_rational, help="rational q")
+# every subcommand takes these; format and timestamps merge after its own options
+_FORMAT = _Opt("--format", _parse_format, "plain",
+               "output format: plain (default), json, or csv", "FMT")
+_CONFIG = _Opt("--config", str, None, "key=value file mirroring the flags; flags win", "FILE")
+_TIMESTAMPS = _Opt("--timestamps", _parse_bool, "no", "add run metadata outside the data records")
+
+_COMMANDS = {
+    "seq": _Command(_cmd_seq, "table of (n, u_n, w_n)", (
+        _Opt("-p", _parse_rational, help="rational p (integer or a/b)"),
+        _Opt("-q", _parse_rational, help="rational q (integer or a/b)"),
+        _Opt("-n", _parse_natural, help="largest index to print", echo="n_max"),
+    )),
+    "phi": _Command(_cmd_phi, "characteristic polynomial of n-th powers", (
+        _P, _Q,
+        _Opt("-n", _parse_natural, help="power index n (degree n+1)"),
+        _Opt("--factor", _parse_bool, "no",
+             "also print the quadratic factor and, at p=1 q=-1, the recursive split"),
+    )),
+    "binom": _Command(_cmd_binom, "generalized binomial coefficient (r|k)_u", (
+        _P, _Q,
+        _Opt("-r", _parse_natural, help="top index r >= 0"),
+        _Opt("-k", _parse_int, help="bottom index k, 0 <= k <= r"),
+    )),
+    "gauss": _Command(_cmd_gauss, "Gaussian binomial polynomial in z", (
+        _Opt("-m", _parse_natural, help="top index m >= 0"),
+        _Opt("-k", _parse_int, help="bottom index k, 0 <= k <= m"),
+        _Opt("--cyclotomic", _parse_bool, "no", "also print the cyclotomic factorization (d, e_d)"),
+    )),
+    "verify": _Command(_cmd_verify, "sweep identities over a parameter grid", (
+        _Opt("--p-range", _parse_range, "1:1", "inclusive p range (default 1:1)", "LO:HI"),
+        _Opt("--q-range", _parse_range, "-1:-1", "inclusive q range (default -1:-1)", "LO:HI"),
+        _Opt("--n-max", partial(_parse_int, minimum=1), "50", "index sweep bound (default 50)"),
+        _Opt("--a-max", _parse_natural, "10",
+             "auxiliary index bound for two-index identities (default 10)"),
+        _Opt("--step", _parse_rational, "1", "grid step, rational (default 1)"),
+        _Opt("--identities", _parse_ids, ",".join(DEFAULT_IDENTITY_IDS),
+             "comma-separated identity ids, or 'all' (default: all non-diagnostic)", "IDS"),
+        _Opt("--strict-diagnostics", _parse_bool, "no",
+             "let failing diagnostic identities affect the exit code"),
+    )),
+}
+
+# how a parsed value reads in the JSON params, by parser; other values read as parsed
+_ECHO: dict[Callable, Callable] = {
+    _parse_rational: str,
+    _parse_range: lambda r: f"{r[0]}:{r[1]}",
+    _parse_ids: lambda ids: sorted(set(ids)),
 }
 
 # flags whose next token may legitimately start with '-' followed by a digit
-_NEGATIVE_VALUE_FLAGS = ("-p", "-q", "--p-range", "--q-range")
+_NEGATIVE_VALUE_FLAGS = frozenset(
+    opt.flag for command in _COMMANDS.values() for opt in command.options
+    if opt.parse in (_parse_rational, _parse_range)
+)
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Glue negative values onto their flags so argparse does not eat them."""
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _NEGATIVE_VALUE_FLAGS and i + 1 < len(argv):
-            nxt = argv[i + 1]
-            if len(nxt) > 1 and nxt[0] == "-" and nxt[1].isdigit():
-                out.append(f"{tok}={nxt}" if tok.startswith("--") else f"{tok}{nxt}")
-                i += 2
-                continue
+    for tok in argv:
+        if out and out[-1] in _NEGATIVE_VALUE_FLAGS and tok[:1] == "-" and tok[1:2].isdigit():
+            flag = out.pop()
+            tok = f"{flag}={tok}" if flag.startswith("--") else f"{flag}{tok}"
         out.append(tok)
-        i += 1
     return out
 
 
@@ -428,62 +438,40 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lucaskit",
         description="Exact companion-sequence computations and identity verification.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", default=None, metavar="FMT",
-                        help="output format: plain (default), json, or csv")
-    common.add_argument("--config", default=None, metavar="FILE",
-                        help="key=value file mirroring the flags; flags win")
-    common.add_argument("--timestamps", action="store_true",
-                        help="add run metadata outside the data records")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    seq = sub.add_parser("seq", parents=[common], help="table of (n, u_n, w_n)")
-    seq.add_argument("-p", default=None, help="rational p (integer or a/b)")
-    seq.add_argument("-q", default=None, help="rational q (integer or a/b)")
-    seq.add_argument("-n", default=None, help="largest index to print")
-
-    phi = sub.add_parser("phi", parents=[common],
-                         help="characteristic polynomial of n-th powers")
-    phi.add_argument("-p", default=None, help="rational p")
-    phi.add_argument("-q", default=None, help="rational q")
-    phi.add_argument("-n", default=None, help="power index n (degree n+1)")
-    phi.add_argument("--factor", action="store_true",
-                     help="also print the quadratic factor and, at p=1 q=-1, the recursive split")
-
-    binom = sub.add_parser("binom", parents=[common],
-                           help="generalized binomial coefficient (r|k)_u")
-    binom.add_argument("-p", default=None, help="rational p")
-    binom.add_argument("-q", default=None, help="rational q")
-    binom.add_argument("-r", default=None, help="top index r >= 0")
-    binom.add_argument("-k", default=None, help="bottom index k, 0 <= k <= r")
-
-    gauss = sub.add_parser("gauss", parents=[common],
-                           help="Gaussian binomial polynomial in z")
-    gauss.add_argument("-m", default=None, help="top index m >= 0")
-    gauss.add_argument("-k", default=None, help="bottom index k, 0 <= k <= m")
-    gauss.add_argument("--cyclotomic", action="store_true",
-                       help="also print the cyclotomic factorization (d, e_d)")
-
-    verify = sub.add_parser("verify", parents=[common],
-                            help="sweep identities over a parameter grid")
-    verify.add_argument("--p-range", dest="p_range", default=None, metavar="LO:HI",
-                        help="inclusive p range (default 1:1)")
-    verify.add_argument("--q-range", dest="q_range", default=None, metavar="LO:HI",
-                        help="inclusive q range (default -1:-1)")
-    verify.add_argument("--n-max", dest="n_max", default=None, help="index sweep bound (default 50)")
-    verify.add_argument("--a-max", dest="a_max", default=None,
-                        help="auxiliary index bound for two-index identities (default 10)")
-    verify.add_argument("--step", default=None, help="grid step, rational (default 1)")
-    verify.add_argument("--identities", default=None, metavar="IDS",
-                        help="comma-separated identity ids, or 'all' (default: all non-diagnostic)")
-    verify.add_argument("--strict-diagnostics", dest="strict_diagnostics", action="store_true",
-                        help="let failing diagnostic identities affect the exit code")
+    for name, command in _COMMANDS.items():
+        cmd_parser = sub.add_parser(name, help=command.help)
+        for opt in (_FORMAT, _CONFIG, _TIMESTAMPS, *command.options):
+            if opt.parse is _parse_bool:
+                cmd_parser.add_argument(opt.flag, action="store_const", const="yes", help=opt.help)
+            else:
+                cmd_parser.add_argument(opt.flag, metavar=opt.metavar, help=opt.help)
     return parser
 
 
 # argparse does not change a parser while parsing, so one tree serves every call
 _PARSER = _build_parser()
+
+
+def _values(options: tuple[_Opt, ...], args: argparse.Namespace) -> dict:
+    """Each option's parsed value by dest, in table order: flag > config file > default.
+
+    Config keys no option reads are refused, before any work starts.
+    """
+    cfg = _load_config(args.config) if args.config else {}
+    values = {}
+    for opt in options:
+        text = getattr(args, opt.dest)
+        from_cfg = cfg.pop(opt.key, None)
+        if text is None:
+            text = opt.default if from_cfg is None else from_cfg
+        if text is None:
+            raise UsageError(f"missing required option {opt.flag}")
+        # a switch's text can only come from the config file, so its errors name the key
+        values[opt.dest] = opt.parse(text, opt.key if opt.parse is _parse_bool else opt.flag)
+    if cfg:
+        raise UsageError("unknown config keys: " + ", ".join(sorted(cfg)))
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -492,9 +480,16 @@ def main(argv: list[str] | None = None) -> int:
         args = _PARSER.parse_args(_merge_negative_values(raw))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    command = _COMMANDS[args.command]
     try:
-        opts = _Options(args)
-        return _emit(args.command, opts, _HANDLERS[args.command](opts))
+        values = _values((*command.options, _FORMAT, _TIMESTAMPS), args)
+        fmt, timestamps = values.pop("format"), values.pop("timestamps")
+        out = command.handler(**values)
+        params = {
+            opt.echo or opt.dest: _ECHO.get(opt.parse, lambda v: v)(values[opt.dest])
+            for opt in command.options
+        }
+        return _emit(args.command, fmt, timestamps, params, out)
     except (UsageError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2 if isinstance(exc, UsageError) else 3

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -143,12 +144,12 @@ def test_seq_past_int_str_limit_exits_2(capsys):
     assert "4300 digits" in err and "PYTHONINTMAXSTRDIGITS" in err
 
 
-def _other_value_error(opts):
+def _other_value_error(*args):
     raise ValueError("not a digit limit")
 
 
 def test_other_value_errors_are_not_mapped(monkeypatch, capsys):
-    monkeypatch.setitem(cli._HANDLERS, "seq", _other_value_error)
+    monkeypatch.setattr("lucaskit.cli.SequenceTable", _other_value_error)
     with pytest.raises(ValueError, match="not a digit limit"):
         main(["seq", "-p", "1", "-q", "-1", "-n", "3"])
 
@@ -305,6 +306,70 @@ def test_config_errors(tmp_path, capsys):
     not_utf8.write_bytes(b"p=1\xff\n")
     code, out, err = run(capsys, "seq", "--config", str(not_utf8), "-q", "1", "-n", "2")
     assert code == 2 and out == "" and "cannot read config file" in err
+
+
+def test_negative_step_is_a_value(capsys):
+    # "-1/2" is no negative number to argparse, so --step must glue it like -p does
+    assert run(capsys, "verify", "--step", "-1/2") == (2, "", "error: step must be positive\n")
+
+
+# Each (subcommand, flag, value) is set once by the flag and once by a config file
+# line "<flag without dashes> = <value>"; a switch's flag takes no value.
+_CONFIG_BASE = {
+    "seq": ["-p", "1", "-q", "-1", "-n", "3"],
+    "phi": ["-p", "1", "-q", "-1", "-n", "4"],
+    "binom": ["-p", "1", "-q", "-1", "-r", "5", "-k", "2"],
+    "gauss": ["-m", "5", "-k", "2"],
+    "verify": ["--n-max", "4", "--a-max", "2", "--identities", "prop34,eq25_zeitlin_paper_sign"],
+}
+_SWITCHES = ("--factor", "--cyclotomic", "--strict-diagnostics", "--timestamps")
+_CONFIG_SETTINGS = [
+    ("seq", "-p", "1/2"), ("seq", "-p", "x"), ("seq", "-q", "-1/3"), ("seq", "-n", "5"),
+    ("seq", "--format", "csv"), ("seq", "--format", "xml"), ("seq", "--timestamps", "yes"),
+    ("phi", "-p", "-2"), ("phi", "-q", "3"), ("phi", "-n", "6"), ("phi", "-n", "-1"),
+    ("phi", "--factor", "on"), ("phi", "--format", "plain"), ("phi", "--timestamps", "YES"),
+    ("binom", "-p", "2"), ("binom", "-q", "-3"), ("binom", "-r", "6"), ("binom", "-k", "3"),
+    ("binom", "-k", "9"), ("binom", "--format", "csv"), ("binom", "--timestamps", "1"),
+    ("gauss", "-m", "7"), ("gauss", "-k", "3"), ("gauss", "--cyclotomic", "1"),
+    ("gauss", "--format", "csv"), ("gauss", "--timestamps", "on"),
+    ("verify", "--p-range", "-1:1"), ("verify", "--p-range", "2:1"),
+    ("verify", "--q-range", "-2:-1"), ("verify", "--n-max", "6"), ("verify", "--n-max", "0"),
+    ("verify", "--a-max", "3"),
+    ("verify", "--step", "1/2"), ("verify", "--step", "-1/2"), ("verify", "--identities", "all"),
+    ("verify", "--identities", ","), ("verify", "--identities", "nosuch"),
+    ("verify", "--strict-diagnostics", "yes"), ("verify", "--format", "csv"),
+    ("verify", "--timestamps", "true"),
+]
+
+
+def _without(argv: list[str], flag: str) -> list[str]:
+    if flag not in argv:
+        return argv
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+def _unstamped(result):
+    code, out, err = result
+    return code, re.sub(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", "<stamp>", out), err
+
+
+def test_config_settings_cover_every_flag():
+    for name, command in cli._COMMANDS.items():
+        flags = {opt.flag for opt in command.options} | {"--format", "--timestamps"}
+        assert flags == {flag for cmd, flag, _ in _CONFIG_SETTINGS if cmd == name}, name
+
+
+@pytest.mark.parametrize("command,flag,value", _CONFIG_SETTINGS)
+def test_config_line_equals_flag(tmp_path, capsys, command, flag, value):
+    argv = [command, *_without(_CONFIG_BASE[command], flag)]
+    if flag != "--format":
+        argv += ["--format", "json"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag.lstrip('-')} = {value}\n")
+    by_flag = run(capsys, *argv, flag, *([] if flag in _SWITCHES else [value]))
+    by_config = run(capsys, *argv, "--config", str(cfg))
+    assert _unstamped(by_flag) == _unstamped(by_config)
 
 
 def test_usage_errors_from_argparse(capsys):
