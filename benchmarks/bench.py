@@ -4,10 +4,17 @@ Run from the root of a checkout:
 
     python3 benchmarks/bench.py --side change --out BENCH_int_kernel.json
     python3 benchmarks/bench.py --side parent --src /path/to/parent/src --out BENCH_int_kernel.json
+    python3 benchmarks/bench.py --side change --ab /path/to/parent/src -k 20 --out BENCH_int_kernel.json
 
 Each run imports lucaskit from ``--src`` (default: this checkout's src/)
 and records one side of the out file, keeping the sides already there, so
-two runs against two source trees give a before/after pair. Every case
+two runs against two source trees give a before/after pair. Such sides run
+one after the other, and on a shared host the medians of unchanged code can
+drift between them by tens of percent; ``--ab`` resolves smaller changes. It
+imports the tree under ``--ab`` as a second package and times only the
+``AB_CASES`` there, alternating the two trees in every round, and records
+per case both medians, the parent's quartiles, the rounds the change won and
+whether both trees returned the same result. Every case
 reports the median wall time of ``-k`` runs (time.perf_counter), and from
 one extra untimed run its deterministic operation counts (multiplications,
 ``Fraction`` operations and ``SequenceTable`` constructions) and the largest
@@ -21,6 +28,7 @@ Stdlib only.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import operator
@@ -34,6 +42,9 @@ from fractions import Fraction
 from pathlib import Path
 
 _FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+# the sweeps whose cells read eq22's root, cor35's triple and eq21's sign
+AB_CASES = ("run_grid cor35 p=-3..3 q=1 n_max=200", "run_grid eq22 n_max=300",
+            "run_grid eq21 n_max=40", "run_grid eq21 + eq21_paper_sign n_max=30")
 
 
 @contextmanager
@@ -148,7 +159,10 @@ def cases(lk):
                              ("eq21 n_max=40", ident.GridSpec(n_max=40), ["eq21"]),
                              ("eq21 + eq21_paper_sign n_max=30", ident.GridSpec(n_max=30),
                               ["eq21", "eq21_paper_sign"]),
-                             ("eq21 n_max=100", ident.GridSpec(n_max=100), ["eq21"])):
+                             ("eq21 n_max=100", ident.GridSpec(n_max=100), ["eq21"]),
+                             ("cor35 p=-3..3 q=1 n_max=200",
+                              ident.GridSpec((R(-3), R(3)), (R(1), R(1)), n_max=200), ["cor35"]),
+                             ("eq22 n_max=300", ident.GridSpec(n_max=300), ["eq22"])):
         out.append((f"run_grid {label}", lambda grid=grid, ids=ids: ident.run_grid(grid, ids), None))
     square_100 = ident.GridSpec((R(-3), R(3)), (R(-3), R(3)), n_max=100)
     for i in parametric:
@@ -191,6 +205,47 @@ def measure(lk, fn, counted, k: int) -> dict:
     }
 
 
+def import_tree(src: str, name: str):
+    """The lucaskit package under ``src``, imported as the top-level package ``name``."""
+    init = Path(src).resolve() / "lucaskit" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.cli")  # the package imports every other module itself
+    return package
+
+
+def ab(parent, change, k: int) -> dict:
+    """Time each of ``AB_CASES`` k times per tree, the two trees alternating in each round."""
+    trees = {"parent": parent, "change": change}
+    fns = {side: {name: fn for name, fn, _ in cases(lk)} for side, lk in trees.items()}
+    out = {}
+    for name in AB_CASES:
+        times = {"parent": [], "change": []}
+        for i in range(k):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                t0 = time.perf_counter()
+                fns[side][name]()
+                times[side].append(time.perf_counter() - t0)
+        q1, _, q3 = statistics.quantiles(times["parent"], n=4)
+        out[name] = row = {
+            "parent_median_s": statistics.median(times["parent"]),
+            "change_median_s": statistics.median(times["change"]),
+            "parent_iqr_s": [q1, q3],
+            "change_faster_rounds": sum(c < p for p, c in zip(times["parent"], times["change"])),
+            "rounds": k,
+            # each tree has its own report class, so the two compare by their records
+            "same_result": [r.to_record() for r in fns["parent"][name]()]
+            == [r.to_record() for r in fns["change"][name]()],
+        }
+        print(f"{row['parent_median_s'] * 1000:10.2f} -> {row['change_median_s'] * 1000:8.2f} ms  "
+              f"parent IQR {q1 * 1000:.2f}-{q3 * 1000:.2f}  faster {row['change_faster_rounds']}/{k}"
+              f"  same={row['same_result']}  {name}")
+    return out
+
+
 def main(argv=None) -> int:
     root = Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -198,26 +253,29 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(root / "src"), help="directory holding lucaskit/")
     parser.add_argument("--out", default=None, help="JSON file to merge this side into")
     parser.add_argument("-k", type=int, default=5, help="timed runs per case (default 5)")
+    parser.add_argument("--ab", default=None, metavar="PARENT_SRC",
+                        help="time AB_CASES against the lucaskit under PARENT_SRC, alternating")
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, str(Path(args.src).resolve()))
-    import lucaskit.binomials
-    import lucaskit.charpoly
-    import lucaskit.cli
-    import lucaskit.identities
-    import lucaskit.sequences
-
-    side = {"cases": {}}
-    for name, fn, counted in cases(lucaskit):
-        side["cases"][name] = row = measure(lucaskit, fn, counted, args.k)
-        print(f"{row['median_s'] * 1000:10.2f} ms  fraction_ops={row['fraction_ops']:<7} "
-              f"tables={row['table_count']:<4} bits={row['max_operand_bits']:<7} {name}")
+    lucaskit = import_tree(args.src, "lucaskit")
+    if args.ab:
+        result = ab(import_tree(args.ab, "lucaskit_parent"), lucaskit, args.k)
+    else:
+        result = {"cases": {}}
+        for name, fn, counted in cases(lucaskit):
+            result["cases"][name] = row = measure(lucaskit, fn, counted, args.k)
+            print(f"{row['median_s'] * 1000:10.2f} ms  fraction_ops={row['fraction_ops']:<7} "
+                  f"tables={row['table_count']:<4} bits={row['max_operand_bits']:<7} {name}")
     if args.out:
         path = Path(args.out)
         doc = json.loads(path.read_text()) if path.exists() else {"sides": {}}
-        doc["machine"] = {"python": platform.python_version(), "machine": platform.machine(),
-                          "cpus": len(os.sched_getaffinity(0)), "k": args.k}
-        doc["sides"][args.side] = side
+        machine = {"python": platform.python_version(), "machine": platform.machine(),
+                   "cpus": len(os.sched_getaffinity(0)), "k": args.k}
+        if args.ab:
+            doc["ab"] = {"machine": machine, "change": args.side, "cases": result}
+        else:
+            doc["machine"] = machine
+            doc["sides"][args.side] = result
         path.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

@@ -24,7 +24,7 @@ from .sequences import FIBONACCI, RecurrenceParams, SequenceTable, _table_for
 
 
 class FactorizationSignError(ArithmeticError):
-    """Neither sign choice made the claimed factorization exact."""
+    """The sign the leading coefficients force does not make the factorization exact."""
 
 
 class GaloisGroup(Enum):
@@ -127,9 +127,9 @@ def fibonacci_factorization(n: int, table: SequenceTable | None = None) -> tuple
     """Split Phi_n(1, -1, x) as sign * (x^2 - L_n x + (-1)^n) * Phi_{n-2}(1, -1, -x).
 
     Returns (quadratic, reversed tail, sign) with the unique sign that makes
-    the product exact. Degree bookkeeping forces sign = (-1)^(n-1): the tail
-    has odd-or-even degree n-1, so negating x scales its leading coefficient
-    by (-1)^(n-1), and the left side is monic.
+    the product exact. Degree bookkeeping forces sign = (-1)^(n-1): x -> -x scales
+    the leading coefficient of the degree-(n-1) tail by (-1)^(n-1), and the left side
+    is monic. So the sign is read from the product's leading coefficient, then checked.
 
     Phi_n comes from the Lucasnomial row of ``phi_coeff_formula``, which
     reads u; the quadratic and the tail are conjugate-pair products, which
@@ -143,7 +143,7 @@ def fibonacci_factorization(n: int, table: SequenceTable | None = None) -> tuple
     quad = quadratic_factor(FIBONACCI, n, table=t)
     tail = phi_product(FIBONACCI, n - 2, table=t).compose_negate()
     product = quad * tail
-    signs = [s for s, signed in ((1, product), (-1, -product)) if signed == phi]
-    if len(signs) != 1:
-        raise FactorizationSignError(f"{len(signs)} signs satisfy the factorization at n={n}")
-    return quad, tail, signs[0]
+    sign = int(product.coeffs[-1])
+    if (product if sign == 1 else -product) != phi:
+        raise FactorizationSignError(f"sign {sign} does not make the factorization exact at n={n}")
+    return quad, tail, sign

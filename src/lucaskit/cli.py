@@ -98,9 +98,10 @@ def _parse_bool(text: str, what: str) -> bool:
 
 
 def _parse_format(text: str, what: str) -> str:
-    if text not in FORMATS:
+    s = text.strip()
+    if s not in FORMATS:
         raise UsageError(f"{what} must be one of {', '.join(FORMATS)}, got {text!r}")
-    return text
+    return s
 
 
 def _parse_ids(text: str, what: str) -> tuple[str, ...]:
@@ -415,18 +416,14 @@ _ECHO: dict[Callable, Callable] = {
     _parse_ids: lambda ids: sorted(set(ids)),
 }
 
-# flags whose next token may legitimately start with '-' followed by a digit
-_NEGATIVE_VALUE_FLAGS = frozenset(
-    opt.flag for command in _COMMANDS.values() for opt in command.options
-    if opt.parse in (_parse_rational, _parse_range)
-)
-
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
-    """Glue negative values onto their flags so argparse does not eat them."""
+    """Glue negative values onto the named subcommand's own flags so argparse keeps them."""
+    options = _COMMANDS[argv[0]].options if argv and argv[0] in _COMMANDS else ()
+    flags = {opt.flag for opt in options if opt.parse in (_parse_rational, _parse_range)}
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _NEGATIVE_VALUE_FLAGS and tok[:1] == "-" and tok[1:2].isdigit():
+        if out and out[-1] in flags and tok[:1] == "-" and tok[1:2].isdigit():
             flag = out.pop()
             tok = f"{flag}={tok}" if flag.startswith("--") else f"{flag}{tok}"
         out.append(tok)

@@ -146,10 +146,10 @@ class GridSpec:
 
 # -- identity cells -------------------------------------------------------------
 # A cell evaluates one identity at one index tuple. The sweep runner calls it
-# as cell(*indices, table) on the one table run_grid builds per (p, q). The
-# public check_* functions wrap the same cell: those at given (p, q) build their
-# own table, and those at p = 1, q = -1 also accept one, which must hold that
-# pair. Cells read p^2 - 4q as table.params.discriminant, cached per table.
+# as cell(*indices, table) on the one table run_grid builds per (p, q). A public
+# function shares a private helper with its cell and builds its own table; only
+# the eq25 checks, the registry's cells themselves, accept a table, which must
+# hold p = 1, q = -1. Cells read p^2 - 4q as table.params.discriminant.
 
 
 def _eq_outcome(lhs, rhs) -> CheckOutcome:
@@ -183,18 +183,26 @@ def _eq35(n: int, t: SequenceTable) -> CheckOutcome:
     return _eq_outcome(z, expected)
 
 
+def _q1_triple(n: int, t: SequenceTable) -> tuple[Fraction, Fraction, Fraction]:
+    return t.w(n), 2 * t.u(n), t.params.p * t.u(n)
+
+
 def _cor35(n: int, t: SequenceTable) -> CheckOutcome:
-    x, y, z = pythagorean_like(t.params.p, n, t)
+    x, y, z = _q1_triple(n, t)
     first = _eq_outcome(x * x + y * y - z * z, Fraction(4))
     if first.status == FAIL:
         return first
     return _eq_outcome(t.params.p * y, 2 * z)
 
 
+def _eq22_root(n: int, t: SequenceTable) -> int | None:
+    root = _eq35_root(n, t)
+    return None if root is None or root.denominator != 1 else int(root)
+
+
 def _eq22(n: int, t: SequenceTable) -> CheckOutcome:
-    try:
-        a_n = check_eq22(n, t)
-    except ArithmeticError:
+    a_n = _eq22_root(n, t)
+    if a_n is None:
         return CheckOutcome(FAIL, "not five times a square", t.u(n))
     return _eq_outcome(Fraction(a_n), t.u(n))
 
@@ -208,10 +216,9 @@ def _eq21(n: int, t: SequenceTable) -> CheckOutcome:
 
 
 def _eq21_paper_sign(n: int, t: SequenceTable) -> CheckOutcome:
-    printed = (-1) ** n
-    if _eq21(n, t).lhs == printed:
-        return CheckOutcome(PASS, printed, printed)
-    return CheckOutcome(FAIL, f"sign {printed} inexact", f"sign {-printed} exact")
+    found = _eq21(n, t).lhs  # "no exact sign", or the sign forced by degree: never (-1)^n
+    exact = f"sign {found} exact" if isinstance(found, int) else found
+    return CheckOutcome(FAIL, f"sign {(-1) ** n} inexact", exact)
 
 
 def _ratio_check(num: Fraction, den: Fraction) -> CheckOutcome:
@@ -253,17 +260,16 @@ def check_eq24(n: int) -> bool:
     return check_prop34(FIBONACCI, n)
 
 
-def check_eq22(n: int, table: SequenceTable | None = None) -> int:
+def check_eq22(n: int) -> int:
     """Extract A_n >= 0 with L_n^2 - 4 (-1)^n = 5 A_n^2.
 
     Raises ArithmeticError when no such integer exists. The caller compares
     the result against F_n; this function finds A_n by root extraction.
-    A passed ``table`` must hold p = 1, q = -1, as in the eq25 checks below.
     """
-    root = _eq35_root(n, _table_for(FIBONACCI, table))
-    if root is None or root.denominator != 1:
+    a_n = _eq22_root(n, SequenceTable(FIBONACCI))
+    if a_n is None:
         raise ArithmeticError(f"L_{n}^2 - 4(-1)^{n} is not five times a perfect square")
-    return int(root)
+    return a_n
 
 
 def check_eq25_freitag(n: int, a: int, table: SequenceTable | None = None) -> CheckOutcome:
@@ -304,15 +310,11 @@ def check_eq25_zeitlin_paper_sign(
     return _ratio_check(num, den)
 
 
-def pythagorean_like(p, n: int, table: SequenceTable | None = None):
-    """For q = 1: the triple (w_n, 2 u_n, p u_n) with x^2 + y^2 - z^2 = 4, p y = 2 z.
-
-    A passed ``table`` must hold (p, 1).
-    """
+def pythagorean_like(p, n: int):
+    """For q = 1: the triple (w_n, 2 u_n, p u_n) with x^2 + y^2 - z^2 = 4, p y = 2 z."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    t = _table_for(RecurrenceParams(p, 1), table)
-    return t.w(n), 2 * t.u(n), t.params.p * t.u(n)
+    return _q1_triple(n, SequenceTable(RecurrenceParams(p, 1)))
 
 
 # -- the sweep -----------------------------------------------------------------

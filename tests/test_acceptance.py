@@ -169,9 +169,8 @@ def test_a5_gaussian_and_generalized_binomials():
 def test_a6_pythagorean_like_triples():
     """For q = 1, (w_n, 2u_n, p u_n) satisfies x^2 + y^2 - z^2 = 4, p y = 2z."""
     for p in range(-8, 9):
-        table = SequenceTable(RecurrenceParams(p, 1))
         for n in range(1, 101):
-            x, y, z = pythagorean_like(p, n, table)
+            x, y, z = pythagorean_like(p, n)
             assert x * x + y * y - z * z == 4
             assert p * y == 2 * z
     print("criterion 6: pass (near-Pythagorean triples, p in [-8, 8], n <= 100)")

@@ -122,6 +122,8 @@ def test_homogeneous_bipoly_invariants():
     assert prod.divexact(f2) == f2
     with pytest.raises(ValueError):
         f2.divexact(prod)
+    with pytest.raises(ValueError, match="^i must be positive$"):
+        homogeneous_f(0)
 
 
 def test_bivariate_F_examples():

@@ -22,8 +22,9 @@ def test_phi_product_base_cases():
     for params in (FIBONACCI, RecurrenceParams(3, 2), RecurrenceParams(Fraction(1, 2), 5)):
         assert phi_product(params, 1).coeffs == [params.q, -params.p, Fraction(1)]
     assert phi_product(FIBONACCI, 2).coeffs == [1, -2, -2, 1]
-    with pytest.raises(ValueError):
-        phi_product(FIBONACCI, -1)
+    for route in (phi_product, phi_coeff_formula):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            route(FIBONACCI, -1)
 
 
 def test_phi_is_monic_of_degree_n_plus_1():
@@ -151,6 +152,23 @@ def test_fibonacci_factorization_sign_rule():
         assert quad * tail * (-sign) != phi_product(FIBONACCI, n)
     with pytest.raises(ValueError):
         fibonacci_factorization(1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 11])
+def test_fibonacci_factorization_reads_its_sign(monkeypatch, n):
+    # the leading coefficients force the sign: one comparison, and a negation only at even n
+    counts = {"__eq__": 0, "__neg__": 0}
+
+    def counting(name, method):
+        def wrapped(*args):
+            counts[name] += 1
+            return method(*args)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(Poly, name, counting(name, getattr(Poly, name)))
+    fibonacci_factorization(n)
+    assert counts == {"__eq__": 1, "__neg__": 1 - n % 2}
 
 
 def test_classify_galois():

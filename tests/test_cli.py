@@ -302,6 +302,11 @@ def test_config_errors(tmp_path, capsys):
     code, _, err = run(capsys, "seq", "--config", str(unknown))
     assert code == 2 and "unknown config keys" in err
 
+    maybe = tmp_path / "maybe.cfg"
+    maybe.write_text("factor = maybe\n")
+    argv = ["phi", "-p", "1", "-q", "-1", "-n", "2", "--config", str(maybe)]
+    assert run(capsys, *argv) == (2, "", "error: factor: cannot parse 'maybe' as a boolean\n")
+
     not_utf8 = tmp_path / "latin1.cfg"
     not_utf8.write_bytes(b"p=1\xff\n")
     code, out, err = run(capsys, "seq", "--config", str(not_utf8), "-q", "1", "-n", "2")
@@ -311,6 +316,15 @@ def test_config_errors(tmp_path, capsys):
 def test_negative_step_is_a_value(capsys):
     # "-1/2" is no negative number to argparse, so --step must glue it like -p does
     assert run(capsys, "verify", "--step", "-1/2") == (2, "", "error: step must be positive\n")
+
+
+def test_negative_values_glue_only_onto_the_subcommands_own_flags(capsys):
+    # gauss has no -p and seq no --p-range: argparse must name the tokens as typed
+    code, out, err = run(capsys, "gauss", "-p", "-1", "-m", "2", "-k", "1")
+    assert (code, out) == (2, "") and err.endswith("error: unrecognized arguments: -p -1\n")
+    code, out, err = run(capsys, "seq", "-p", "1", "-q", "1", "-n", "1", "--p-range", "-1:1")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --p-range -1:1\n")
 
 
 # Each (subcommand, flag, value) is set once by the flag and once by a config file
@@ -325,7 +339,8 @@ _CONFIG_BASE = {
 _SWITCHES = ("--factor", "--cyclotomic", "--strict-diagnostics", "--timestamps")
 _CONFIG_SETTINGS = [
     ("seq", "-p", "1/2"), ("seq", "-p", "x"), ("seq", "-q", "-1/3"), ("seq", "-n", "5"),
-    ("seq", "--format", "csv"), ("seq", "--format", "xml"), ("seq", "--timestamps", "yes"),
+    ("seq", "--format", "csv"), ("seq", "--format", " csv"), ("seq", "--format", "xml"),
+    ("seq", "--timestamps", "yes"),
     ("phi", "-p", "-2"), ("phi", "-q", "3"), ("phi", "-n", "6"), ("phi", "-n", "-1"),
     ("phi", "--factor", "on"), ("phi", "--format", "plain"), ("phi", "--timestamps", "YES"),
     ("binom", "-p", "2"), ("binom", "-q", "-3"), ("binom", "-r", "6"), ("binom", "-k", "3"),

@@ -80,7 +80,7 @@ def test_eq24_and_eq22():
     table = SequenceTable(FIBONACCI)
     for n in range(80):
         assert check_eq24(n)
-        assert check_eq22(n, table) == table.u(n)
+        assert check_eq22(n) == table.u(n)
     assert check_eq22(0) == 0
     assert check_eq22(4) == 3
     assert check_eq22(7) == 13
@@ -225,10 +225,15 @@ class _WrongQ5(SequenceTable):
         return super().q_power(n) + (n == 5)
 
 
-def _faulty_sweep(monkeypatch, table_class):
+class _WrongU3(SequenceTable):
+    def u(self, n):
+        return super().u(n) + (n == 3)
+
+
+def _faulty_sweep(monkeypatch, table_class, ids=DEFAULT_IDENTITY_IDS):
     monkeypatch.setattr("lucaskit.identities.SequenceTable", table_class)
     grid = GridSpec((Fraction(3), Fraction(3)), (Fraction(1), Fraction(1)), n_max=12, a_max=3)
-    return {r.identity_id: r for r in run_grid(grid, DEFAULT_IDENTITY_IDS)}
+    return {r.identity_id: r for r in run_grid(grid, ids)}
 
 
 def test_run_grid_reports_a_wrong_sequence_value(monkeypatch):
@@ -252,6 +257,16 @@ def test_run_grid_reports_a_wrong_sequence_value(monkeypatch):
     assert lhs_at["eq35"] == (n5, "no rational solution")
     assert lhs_at["eq22"] == (n5, "not five times a square")
     assert lhs_at["cor36"] == (n5, 15129)  # the step w_5^2 = w_10 + 2 q^5 fails first
+
+
+def test_eq21_paper_sign_reports_what_eq21_found(monkeypatch):
+    # the diagnostic quotes eq21's own verdict, not the sign opposite to the printed one
+    ce = run_grid(GridSpec(n_max=4), ["eq21_paper_sign"])[0].first_counterexample
+    assert (ce.indices, ce.lhs, ce.rhs) == ((("n", 2),), "sign 1 inexact", "sign -1 exact")
+    # Phi_2 comes from the Lucasnomial row (3|i)_u, so a wrong u_3 leaves no exact sign
+    report = _faulty_sweep(monkeypatch, _WrongU3, ["eq21_paper_sign"])["eq21_paper_sign"]
+    ce = report.first_counterexample
+    assert (ce.indices, ce.lhs, ce.rhs) == ((("n", 2),), "sign 1 inexact", "no exact sign")
 
 
 PARAMETRIC_IDS = [i for i, d in REGISTRY.items() if not d.fixed_params]
@@ -344,9 +359,7 @@ def test_to_record_field_names():
     pytest.param(phi_coeff_formula, (FIBONACCI, 3), (1, -1), id="phi_coeff_formula"),
     pytest.param(quadratic_factor, (FIBONACCI, 3), (1, -1), id="quadratic_factor"),
     pytest.param(generalized_binomial_row, (FIBONACCI, 5), (1, -1), id="generalized_binomial_row"),
-    pytest.param(pythagorean_like, (2, 3), (2, 1), id="pythagorean_like"),
     pytest.param(fibonacci_factorization, (4,), (1, -1), id="fibonacci_factorization"),
-    pytest.param(check_eq22, (4,), (1, -1), id="check_eq22"),
     pytest.param(check_eq25_freitag, (2, 1), (1, -1), id="check_eq25_freitag"),
 ])
 def test_a_table_for_another_pair_is_refused(call, args, pair):
@@ -358,6 +371,6 @@ def test_a_table_for_another_pair_is_refused(call, args, pair):
 
 
 def test_functions_that_build_their_own_table_accept_none():
-    for f in (check_prop34, check_cor36, check_eq35_shape, check_eq24,
-              generalized_binomial_quotient, w_from_u, u_from_w):
+    for f in (check_prop34, check_cor36, check_eq35_shape, check_eq24, check_eq22,
+              pythagorean_like, generalized_binomial_quotient, w_from_u, u_from_w):
         assert "table" not in inspect.signature(f).parameters, f.__name__

@@ -25,6 +25,8 @@ def test_ring_operations():
     assert (1 - f) == Poly([0, -1])
     assert f**3 == f * f * f
     assert Poly.x() ** 4 == Poly([0, 0, 0, 0, 1])
+    with pytest.raises(ValueError, match="^negative polynomial power$"):
+        f ** -1
 
 
 def test_division():

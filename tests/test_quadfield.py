@@ -15,6 +15,8 @@ def test_canonicalization():
     assert QuadExt(Fraction(3), Fraction(2), 1) == QuadExt(Fraction(5))
     with pytest.raises(ValueError):
         QuadExt(Fraction(1), Fraction(1), 0)
+    with pytest.raises(TypeError, match="^d must be a plain int$"):
+        QuadExt(1, 1, 2.0)
 
 
 def test_ring_arithmetic():

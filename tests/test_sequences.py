@@ -46,8 +46,10 @@ def test_fibonacci_lucas_values():
 
 def test_table_rejects_negative_index():
     t = SequenceTable(FIBONACCI)
-    with pytest.raises(ValueError):
-        t.u(-1)
+    for read in (t.u, t.w, t.q_power,
+                 lambda n: iter_pair(FIBONACCI, n), lambda n: fast_pair(FIBONACCI, n)):
+        with pytest.raises(ValueError, match="^index must be nonnegative$"):
+            read(-1)
 
 
 def test_power_sequence_closed_form():
